@@ -37,14 +37,9 @@ class BenchConfig:
     extra_sim_config: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.model not in ("saga", "tcc"):
-            raise InvalidConfig(f"unknown model: {self.model}")
-        if self.model == "tcc" and self.versioning == "snowflake":
-            raise InvalidConfig(
-                "tcc requires centralized versioning; snowflake is incompatible"
-            )
         if self.clients < 1 or self.requests_per_client < 1 or self.runs < 1:
             raise InvalidConfig("clients, requests, and runs must be >= 1")
+        self.sim_config()
 
     def sim_config(self) -> SimConfig:
         return SimConfig(
@@ -56,7 +51,6 @@ class BenchConfig:
             retry_base_ms=self.retry_base_ms,
             retry_multiplier=self.retry_multiplier,
             clock_mode="real",
-            events_manual_mode=True,
             **self.extra_sim_config,
         )
 

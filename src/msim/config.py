@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import InvalidConfig
+from .errors import IncompatibleVersioningStrategy, InvalidConfig
 
 TRANSPORT_MODES = ("local", "local-serialized", "rpc", "broker")
 VERSIONING_STRATEGIES = ("centralized", "snowflake", "centralized-remote")
@@ -34,10 +34,6 @@ class SimConfig:
     # Store round trip per centralized counter operation (the contention
     # bottleneck the snowflake strategy eliminates).
     versioning_db_ms: float = 0.0
-    events_publish_interval_ms: float = 50.0
-    events_handle_interval_ms: float = 50.0
-    events_manual_mode: bool = True
-    coordination_parallel_steps: bool = False
     impairment_report_path: str | None = None
     impairment_plan_dir: str | None = None
     # Bounded waits before concurrency conflicts surface as retryable errors.
@@ -45,7 +41,6 @@ class SimConfig:
     tcc_commit_wait_ms: float = 70.0
     # Modeled store transaction for the atomic causal commit batch.
     tcc_commit_store_ms: float = 5.0
-    async_pool_size: int | None = None
     clock_mode: str = "real"
 
     _DOTTED = {
@@ -61,10 +56,6 @@ class SimConfig:
         "versioning.machine_id": "versioning_machine_id",
         "versioning.epoch_origin_ms": "versioning_epoch_origin_ms",
         "versioning.db_ms": "versioning_db_ms",
-        "events.publish_interval_ms": "events_publish_interval_ms",
-        "events.handle_interval_ms": "events_handle_interval_ms",
-        "events.manual_mode": "events_manual_mode",
-        "coordination.parallel_steps": "coordination_parallel_steps",
         "impairment.report_path": "impairment_report_path",
         "impairment.plan_dir": "impairment_plan_dir",
         "saga.lock_wait_ms": "saga_lock_wait_ms",
@@ -79,6 +70,10 @@ class SimConfig:
             raise InvalidConfig(f"unknown transport.mode: {self.transport_mode}")
         if self.versioning_strategy not in VERSIONING_STRATEGIES:
             raise InvalidConfig(f"unknown versioning.strategy: {self.versioning_strategy}")
+        if self.transaction_model == "tcc" and self.versioning_strategy == "snowflake":
+            raise IncompatibleVersioningStrategy(
+                "transactional causal consistency requires centralized versioning"
+            )
         if self.clock_mode not in ("real", "virtual"):
             raise InvalidConfig(f"unknown clock_mode: {self.clock_mode}")
         if self.retry_max_attempts < 1:

@@ -13,8 +13,6 @@ concurrent functionalities.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
@@ -50,16 +48,13 @@ class Workflow:
     uow: object
     steps: list = field(default_factory=list)
     recorder: object = None
-    parallel: bool = False
 
     def __post_init__(self):
         self.status = WorkflowStatus.BUILT
         self._executed: set[str] = set()
-        self._completion_order: list[str] = []
         self._order = _validate_and_order(self.steps)
         self._by_name = {s.name: s for s in self.steps}
         self._root_ctx = None
-        self._mutex = threading.Lock()
 
     # -- public API ---------------------------------------------------------
 
@@ -77,9 +72,6 @@ class Workflow:
             raise UnknownStep(f"no step named {step_name!r}")
         self._run(until=step_name)
 
-    def executed_steps(self) -> list[str]:
-        return list(self._completion_order)
-
     # -- execution ------------------------------------------------------------
 
     def _run(self, until: str | None) -> None:
@@ -92,11 +84,8 @@ class Workflow:
         if until is not None:
             cutoff = self._order.index(until)
             plan = [n for n in plan if self._order.index(n) <= cutoff]
-        if self.parallel and until is None:
-            self._run_parallel(plan)
-        else:
-            for name in plan:
-                self._run_step(self._by_name[name])
+        for name in plan:
+            self._run_step(self._by_name[name])
         if until is not None:
             self.status = WorkflowStatus.PAUSED
             return
@@ -136,9 +125,7 @@ class Workflow:
         else:
             if span_id is not None:
                 self.recorder.end_span(span_id)
-            with self._mutex:
-                self._executed.add(step.name)
-                self._completion_order.append(step.name)
+            self._executed.add(step.name)
             if step.compensation is not None and self.uow.model == "saga":
                 self.uow_service.register_compensation(
                     self.uow, step.compensation, label=step.name
@@ -155,35 +142,6 @@ class Workflow:
             self._terminate(WorkflowStatus.ABORTED)
         raise exc
 
-    def _run_parallel(self, plan: list[str]) -> None:
-        """Wave scheduling: every ready step runs concurrently."""
-        remaining = set(plan)
-        failure: list[BaseException] = []
-        with ThreadPoolExecutor(max_workers=max(2, len(self.steps))) as pool:
-            while remaining and not failure:
-                ready = [
-                    name
-                    for name in self._order
-                    if name in remaining
-                    and all(
-                        dep in self._executed
-                        for dep in self._by_name[name].dependencies
-                    )
-                ]
-                if not ready:
-                    raise SimulatorError("no runnable steps; dependency deadlock")
-                futures = {}
-                for name in ready:
-                    remaining.discard(name)
-                    futures[pool.submit(self._run_step, self._by_name[name])] = name
-                done, _ = wait(futures)
-                for fut in done:
-                    err = fut.exception()
-                    if err is not None:
-                        failure.append(err)
-        if failure:
-            raise failure[0]
-
 
 def build_workflow(
     functionality_name: str,
@@ -191,7 +149,6 @@ def build_workflow(
     uow_service,
     uow,
     recorder=None,
-    parallel: bool = False,
 ) -> Workflow:
     """Validate step names and dependencies and return a BUILT workflow."""
     return Workflow(
@@ -200,7 +157,6 @@ def build_workflow(
         uow=uow,
         steps=list(steps),
         recorder=recorder,
-        parallel=parallel,
     )
 
 

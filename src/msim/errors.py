@@ -87,16 +87,16 @@ class SequenceExhausted(SimulatorError):
     """Snowflake sequence overflow with spinning disabled (test hook)."""
 
 
-class IncompatibleVersioningStrategy(SimulatorError):
-    """Causal transactions require centralized versioning."""
-
-
 class InvalidLatencySpec(SimulatorError):
     pass
 
 
 class InvalidConfig(SimulatorError):
     pass
+
+
+class IncompatibleVersioningStrategy(InvalidConfig):
+    """Causal transactions require centralized versioning."""
 
 
 class CyclicDependencies(SimulatorError):
@@ -127,10 +127,6 @@ class EmptySpec(SimulatorError):
 
 class EmptyInput(SimulatorError):
     pass
-
-
-class CompensationFailure(SimulatorError):
-    """A compensating action failed. Recorded, remaining compensations run."""
 
 
 class SimulatedFault(DomainError):
@@ -183,9 +179,6 @@ class ErrorRegistry:
 
     def lookup(self, name: str):
         return self._by_name.get(name)
-
-    def is_domain(self, exc: BaseException) -> bool:
-        return isinstance(exc, DomainError)
 
     def reconstruct(self, name: str, message: str) -> BaseException:
         cls = self._by_name.get(name)

@@ -114,10 +114,6 @@ class ImpairmentHandler:
             self._counters.clear()
             self._report.clear()
 
-    def rule_count(self) -> int:
-        with self._lock:
-            return len(self._rules)
-
     # -- consultation --------------------------------------------------
 
     def consult(self, functionality: str, step: str) -> ImpairmentAction | None:

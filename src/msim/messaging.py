@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -372,8 +371,7 @@ class BrokerTransport(Transport):
 class CommandGateway:
     """Dispatch entry point shared by every functionality.
 
-    send() is synchronous and applies the retry policy; send_async() wraps
-    send() on a worker pool so retries apply to asynchronous dispatch too.
+    send() is synchronous and applies the retry policy.
     """
 
     def __init__(
@@ -383,16 +381,14 @@ class CommandGateway:
         retry_policy: RetryPolicy | None = None,
         impairment=None,
         recorder=None,
-        async_pool_size: int | None = None,
     ):
         self._clock = clock
         self._errors = error_registry
         self.retry_policy = retry_policy or RetryPolicy()
         self._impairment = impairment
         self._recorder = recorder
-        self._handlers: dict[str, tuple] = {}
+        self._handlers: dict[str, object] = {}
         self._transport: Transport = LocalTransport()
-        self._pool = ThreadPoolExecutor(max_workers=async_pool_size or 8)
         self._id_lock = threading.Lock()
         self._next_id = 1
 
@@ -422,7 +418,7 @@ class CommandGateway:
     def register_handler(self, service: str, handler, decorators=()) -> None:
         if service in self._handlers:
             raise DuplicateRegistration(f"handler already registered for {service}")
-        self._handlers[service] = (handler, tuple(decorators))
+        self._handlers[service] = _compose(tuple(decorators), handler)
         self._transport.on_service_registered(service, self._execute)
 
     # -- dispatch ----------------------------------------------------------
@@ -470,24 +466,18 @@ class CommandGateway:
             f"{self.retry_policy.max_attempts} attempts{detail}"
         )
 
-    def send_async(self, message) -> Future:
-        """send() on a worker pool; the future resolves to send()'s result."""
-        self._stamp(message)  # capture ambient context on the caller's thread
-        return self._pool.submit(self.send, message)
-
     # -- server side -------------------------------------------------------
 
     def _execute(self, message) -> CommandResponse:
         command = inner_command(message)
-        registration = self._handlers.get(command.target_service)
-        if registration is None:
+        chain = self._handlers.get(command.target_service)
+        if chain is None:
             return CommandResponse(
                 command_id=command.command_id,
                 outcome=Outcome.INFRA_ERROR,
                 error_name="NoHandler",
                 error_message=f"no handler for {command.target_service}",
             )
-        handler, decorators = registration
         span_id = None
         try:
             if (
@@ -508,7 +498,7 @@ class CommandGateway:
                     f"handle:{command.command_type}",
                     {"service": command.target_service},
                 )
-            result = _compose(decorators, handler)(message)
+            result = chain(message)
             return CommandResponse(
                 command_id=command.command_id, outcome=Outcome.OK, payload=result
             )
@@ -532,10 +522,16 @@ class CommandGateway:
 
     def close(self) -> None:
         self._transport.close()
-        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _compose(decorators, handler):
+    """Chain the decorators around the handler, outermost first.
+
+    Built once per registration. Each layer's ``handle`` is still looked up
+    per message, so a wrapper patched onto or removed from a decorator class
+    (as perfbench's tracer does) applies to handlers already registered.
+    """
+
     def terminal(message):
         return handler(inner_command(message))
 

@@ -49,7 +49,7 @@ class EventIdGenerator:
 
 
 class NotificationService:
-    """Event store façade plus the scheduled publisher.
+    """Event store façade plus the publisher, run on demand by publish_pending().
 
     topology "shared": one log for every service (local deployments).
     topology "per-service": each service owns a log; publishing copies
@@ -72,9 +72,6 @@ class NotificationService:
 
     def declare_subscription(self, service: str, event_type: str) -> None:
         self._subscribed_types.setdefault(service, set()).add(event_type)
-
-    def subscribed_types(self, service: str) -> set[str]:
-        return set(self._subscribed_types.get(service, ()))
 
     def log_key(self, service: str) -> str:
         """Which store log a service writes to / reads from."""
@@ -180,39 +177,3 @@ class EventHandlingLoop:
     def handling_errors(self) -> list[tuple[int, str]]:
         with self._lock:
             return list(self._errors)
-
-
-class EventScheduler:
-    """Background publish/handle loop for non-manual mode."""
-
-    def __init__(
-        self,
-        notification: NotificationService,
-        loop: EventHandlingLoop,
-        publish_interval_ms: float,
-        handle_interval_ms: float,
-    ):
-        self._notification = notification
-        self._loop = loop
-        self._publish_interval = publish_interval_ms / 1000.0
-        self._handle_interval = handle_interval_ms / 1000.0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="event-scheduler", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _run(self) -> None:
-        interval = min(self._publish_interval, self._handle_interval)
-        while not self._stop.is_set():
-            self._notification.publish_pending()
-            for aggregate_type in self._loop.registered_types():
-                self._loop.run_event_handling_cycle(aggregate_type)
-            self._stop.wait(interval)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=1.0)

@@ -14,7 +14,7 @@ from .errors import default_registry
 from .impairment import ImpairmentHandler
 from .messaging import TRANSACTION_SERVICE, CommandGateway, RetryPolicy
 from .monitoring import SpanRecorder
-from .notification import EventHandlingLoop, EventScheduler, NotificationService
+from .notification import EventHandlingLoop, NotificationService
 from .sampleapp.facade import register_sample_app
 from .transaction import CausalUnitOfWorkService, SagaUnitOfWorkService
 from .versioning import (
@@ -49,7 +49,6 @@ class Simulator:
             ),
             impairment=self.impairment,
             recorder=self.recorder,
-            async_pool_size=config.async_pool_size,
         )
         self.gateway.configure_transport(
             config.transport_mode,
@@ -82,16 +81,6 @@ class Simulator:
         self._register_sample_errors()
         if config.impairment_plan_dir:
             self.impairment.load_dir(config.impairment_plan_dir)
-
-        self._scheduler = None
-        if not config.events_manual_mode:
-            self._scheduler = EventScheduler(
-                self.notification,
-                self.events,
-                config.events_publish_interval_ms,
-                config.events_handle_interval_ms,
-            )
-            self._scheduler.start()
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -156,8 +145,6 @@ class Simulator:
         return processed
 
     def close(self) -> None:
-        if self._scheduler is not None:
-            self._scheduler.stop()
         self.gateway.close()
 
     def __enter__(self):

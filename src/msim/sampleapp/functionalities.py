@@ -49,7 +49,6 @@ class _Builder:
             uow_service=self._runtime.transactions,
             uow=uow,
             recorder=self._runtime.recorder,
-            parallel=self._runtime.config.coordination_parallel_steps,
         )
 
 

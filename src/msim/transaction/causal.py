@@ -33,7 +33,6 @@ from ..errors import (
     AggregateDeleted,
     AggregateNotInSnapshot,
     ConcurrentCommitConflict,
-    IncompatibleVersioningStrategy,
     InvariantViolation,
     MergeConflictUnresolvable,
     SimulatorError,
@@ -48,10 +47,6 @@ class CausalUnitOfWorkService(UnitOfWorkService):
     def __init__(self, *args, commit_wait_ms: float = 70.0, commit_store_ms: float = 5.0,
                  **kwargs):
         super().__init__(*args, **kwargs)
-        if self._versioning.strategy == "snowflake":
-            raise IncompatibleVersioningStrategy(
-                "transactional causal consistency requires centralized versioning"
-            )
         self._section_cond = threading.Condition(threading.Lock())
         self._section_busy = False
         self._section_queue: deque = deque()

@@ -95,30 +95,6 @@ def test_declaration_order_breaks_ties(saga_sim):
     assert trace == ["C", "A", "B"]
 
 
-def test_parallel_mode_respects_dependencies(saga_sim):
-    import threading
-
-    shape = [("A", ()), ("B", ("A",)), ("C", ("A",)), ("D", ("B", "C"))]
-    events = {}
-    lock = threading.Lock()
-    counter = [0]
-
-    def body(name):
-        def run(u):
-            with lock:
-                counter[0] += 1
-                events.setdefault(name, counter[0])
-        return run
-
-    steps = [Step(n, body(n), d) for n, d in shape]
-    uow = saga_sim.transactions.create_unit_of_work()
-    wf = build_workflow("par", steps, saga_sim.transactions, uow, parallel=True)
-    wf.execute()
-    assert events["A"] < events["B"]
-    assert events["A"] < events["C"]
-    assert events["D"] > events["B"] and events["D"] > events["C"]
-
-
 # -- failure handling -----------------------------------------------------------
 
 

@@ -227,46 +227,6 @@ def test_broker_response_timeout():
     gw.close()
 
 
-# -- async ------------------------------------------------------------------------
-
-
-def test_send_async_equivalent_to_send():
-    gw = make_gateway()
-    gw.register_handler("echo", lambda c: {"echo": c.payload["x"]})
-    futures = [gw.send_async(cmd(payload={"x": i})) for i in range(4)]
-    assert [f.result(timeout=5)["echo"] for f in futures] == [0, 1, 2, 3]
-
-
-def test_send_async_surfaces_domain_error_on_resolution():
-    gw = make_gateway()
-
-    def handler(c):
-        raise SimulatedFault("no")
-
-    gw.register_handler("echo", handler)
-    future = gw.send_async(cmd())
-    with pytest.raises(SimulatedFault):
-        future.result(timeout=5)
-
-
-def test_async_fan_out_beats_sequential_wall_time():
-    # Oracle: wall-clock for N parallel sends with sleeping handlers must
-    # beat N * d sequential.
-    n, d = 4, 0.03
-    gw = CommandGateway(
-        clock=RealClock(),
-        error_registry=default_registry(),
-        async_pool_size=n,
-    )
-    gw.register_handler("sleepy", lambda c: time.sleep(d) or {})
-    start = time.monotonic()
-    futures = [gw.send_async(cmd(service="sleepy")) for _ in range(n)]
-    for f in futures:
-        f.result(timeout=5)
-    assert time.monotonic() - start < n * d
-    gw.close()
-
-
 # -- envelopes ---------------------------------------------------------------------
 
 

@@ -257,29 +257,3 @@ def test_eventual_delivery_within_two_cycles(make_sim):
         sim.run_event_cycles(2)
         view = sim.app.get_tournament(tournament_id)
         assert view["participants"][str(user_ids[0])]["name"] == "renamed"
-
-
-def test_scheduler_processes_events_without_manual_cycles():
-    import time
-
-    from msim import SimConfig, Simulator
-
-    sim = Simulator(SimConfig(
-        events_manual_mode=False,
-        events_publish_interval_ms=10,
-        events_handle_interval_ms=10,
-    ))
-    try:
-        execution_id, tournament_id, _, user_ids = seed_basic(sim)
-        sim.app.add_participant(tournament_id, execution_id, user_ids[0])
-        sim.app.update_student_name(execution_id, user_ids[0], "renamed")
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            view = sim.app.get_tournament(tournament_id)
-            if view["participants"][str(user_ids[0])]["name"] == "renamed":
-                break
-            time.sleep(0.02)
-        else:
-            pytest.fail("scheduler did not propagate the event in time")
-    finally:
-        sim.close()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from msim import SimConfig
@@ -14,17 +16,19 @@ def test_config_accepts_dotted_keys():
         "transport.rpc.one_way_ms": 3.5,
         "retry.max_attempts": 7,
         "versioning.strategy": "centralized",
-        "events.manual_mode": True,
     })
     assert cfg.transaction_model == "tcc"
     assert cfg.transport_mode == "rpc"
     assert cfg.rpc_one_way_ms == 3.5
     assert cfg.retry_max_attempts == 7
+    assert set(SimConfig._DOTTED.values()) <= {f.name for f in fields(SimConfig)}
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(InvalidConfig):
-        SimConfig.from_mapping({"transport.warp": 1})
+    for key in ("transport.warp", "events.manual_mode", "events.publish_interval_ms",
+                "events.handle_interval_ms", "coordination.parallel_steps"):
+        with pytest.raises(InvalidConfig):
+            SimConfig.from_mapping({key: 1})
 
 
 def test_config_rejects_unknown_values():
@@ -32,6 +36,8 @@ def test_config_rejects_unknown_values():
         SimConfig(transport_mode="telepathy")
     with pytest.raises(InvalidConfig):
         SimConfig(transaction_model="two-phase-commit")
+    with pytest.raises(InvalidConfig):
+        SimConfig(transaction_model="tcc", versioning_strategy="snowflake")
 
 
 def run_workload(sim):
