@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import itertools
 import threading
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,23 +43,31 @@ class EventSubscription:
     """Declared interest in an upstream aggregate's events.
 
     Matches events of event_type published by sender_aggregate_id with a
-    publisher version strictly greater than sender_last_version.
+    publisher version strictly greater than sender_last_version. When
+    payload_match is a (key, value) pair, the event's payload must also map
+    key to value; the value must be hashable, since matching indexes it.
     """
 
     event_type: str
     sender_aggregate_id: int
     sender_last_version: int = 0
+    payload_match: tuple | None = None
 
     def __post_init__(self):
         if self.sender_last_version < 0:
             raise SimulatorError("sender_last_version must be >= 0")
 
     def matches(self, event) -> bool:
-        return (
+        if not (
             event.event_type == self.event_type
             and event.publisher_aggregate_id == self.sender_aggregate_id
             and event.publisher_version > self.sender_last_version
-        )
+        ):
+            return False
+        if self.payload_match is None:
+            return True
+        key, value = self.payload_match
+        return key in event.payload and event.payload[key] == value
 
 
 class Aggregate:
@@ -119,14 +127,28 @@ class AggregateIdGenerator:
             return next(self._counter)
 
 
-class _StoreState:
-    __slots__ = ("records", "events")
+def _by_version(record):
+    return record.version
 
-    def __init__(self, records: dict, events: dict):
-        # records: aggregate_id -> list of records sorted by version
-        # events:  service name -> tuple of DomainEvent
+
+class _StoreState:
+    __slots__ = ("records", "events", "event_ids")
+
+    def __init__(self, records: dict, events: dict, event_ids: dict):
+        # records:   aggregate_id -> list of records sorted by version
+        # events:    service name -> tuple of DomainEvent
+        # event_ids: service name -> frozenset of the event ids in its log
         self.records = records
         self.events = events
+        self.event_ids = event_ids
+
+
+def _append_event(events: dict, event_ids: dict, service: str, event) -> None:
+    """Append event to service's log in the given maps unless its id is there."""
+    ids = event_ids.get(service, frozenset())
+    if event.event_id not in ids:
+        events[service] = events.get(service, ()) + (event,)
+        event_ids[service] = ids | {event.event_id}
 
 
 class SimulationStore:
@@ -139,7 +161,7 @@ class SimulationStore:
     """
 
     def __init__(self):
-        self._state = _StoreState({}, {})
+        self._state = _StoreState({}, {}, {})
         self._lock = threading.RLock()
 
     # -- writes ---------------------------------------------------------
@@ -155,31 +177,30 @@ class SimulationStore:
             state = self._state
             new_records = dict(state.records)
             new_events = dict(state.events)
+            new_event_ids = dict(state.event_ids)
             for i, rec in enumerate(records):
                 if rec.version <= 0:
                     raise SimulatorError("cannot install an uncommitted working copy")
                 chain = list(new_records.get(rec.aggregate_id, ()))
+                at = bisect_left(chain, rec.version, key=_by_version)
                 if chain:
                     latest = chain[-1]
                     if latest.state is LifecycleState.DELETED and rec.version > latest.version:
                         raise AggregateDeleted(
                             f"aggregate {rec.aggregate_id} is deleted; no successors allowed"
                         )
-                    if any(r.version == rec.version for r in chain):
+                    if at < len(chain) and chain[at].version == rec.version:
                         raise SimulatorError(
                             f"duplicate version {rec.version} for aggregate {rec.aggregate_id}"
                         )
-                insort(chain, rec, key=lambda r: r.version)
+                chain.insert(at, rec)
                 new_records[rec.aggregate_id] = chain
                 hook(f"install:record:{i}")
             for i, (service, event) in enumerate(events):
-                log = list(new_events.get(service, ()))
-                if all(e.event_id != event.event_id for e in log):
-                    log.append(event)
-                new_events[service] = tuple(log)
+                _append_event(new_events, new_event_ids, service, event)
                 hook(f"install:event:{i}")
             hook("install:swap")
-            self._state = _StoreState(new_records, new_events)
+            self._state = _StoreState(new_records, new_events, new_event_ids)
 
     def publish_batch(self, publisher_service: str, event_ids, deliveries) -> int:
         """Mark events published and copy them to subscriber logs, atomically.
@@ -200,12 +221,10 @@ class SimulationStore:
                     marked += 1
                 log.append(ev)
             new_events[publisher_service] = tuple(log)
+            new_event_ids = dict(state.event_ids)
             for service, ev in deliveries:
-                sub_log = list(new_events.get(service, ()))
-                if all(e.event_id != ev.event_id for e in sub_log):
-                    sub_log.append(ev)
-                new_events[service] = tuple(sub_log)
-            self._state = _StoreState(state.records, new_events)
+                _append_event(new_events, new_event_ids, service, ev)
+            self._state = _StoreState(state.records, new_events, new_event_ids)
             return marked
 
     # -- reads ------------------------------------------------------------
@@ -234,20 +253,17 @@ class SimulationStore:
         return chain[-1] if chain else None
 
     def record_at(self, aggregate_id: int, version: int) -> Aggregate:
-        for rec in self._chain(aggregate_id):
-            if rec.version == version:
-                return rec
+        chain = self._chain(aggregate_id)
+        at = bisect_left(chain, version, key=_by_version)
+        if at < len(chain) and chain[at].version == version:
+            return chain[at]
         raise AggregateNotFound(f"aggregate {aggregate_id} has no version {version}")
 
     def record_at_or_below(self, aggregate_id: int, max_version: int) -> Aggregate | None:
         """Greatest committed version <= max_version, or None."""
-        best = None
-        for rec in self._chain(aggregate_id):
-            if rec.version <= max_version:
-                best = rec
-            else:
-                break
-        return best
+        chain = self._chain(aggregate_id)
+        at = bisect_right(chain, max_version, key=_by_version)
+        return chain[at - 1] if at else None
 
     def versions(self, aggregate_id: int) -> list[int]:
         return [r.version for r in self._chain(aggregate_id)]

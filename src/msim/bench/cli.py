@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import click
 
+from ..errors import InvalidConfig
 from .runner import BenchConfig, format_report, run_bench
 
 
@@ -50,7 +51,10 @@ def main(model, transport, versioning, clients, requests, seed, runs,
         report_path=report_path,
         rpc_one_way_ms=rpc_one_way_ms,
     )
-    report = run_bench(cfg)
+    try:
+        report = run_bench(cfg)
+    except InvalidConfig as exc:
+        raise click.UsageError(str(exc)) from exc
     click.echo(format_report(report))
     if report_path:
         click.echo(f"report written to {report_path}")

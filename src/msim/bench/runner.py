@@ -42,17 +42,19 @@ class BenchConfig:
         self.sim_config()
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            transaction_model=self.model,
-            transport_mode=self.transport,
-            versioning_strategy=self.versioning,
-            rpc_one_way_ms=self.rpc_one_way_ms,
-            retry_max_attempts=self.retry_max_attempts,
-            retry_base_ms=self.retry_base_ms,
-            retry_multiplier=self.retry_multiplier,
-            clock_mode="real",
+        """The simulator config; extra_sim_config keys may be dotted, and an
+        unknown one raises InvalidConfig."""
+        return SimConfig.from_mapping({
+            "transaction_model": self.model,
+            "transport_mode": self.transport,
+            "versioning_strategy": self.versioning,
+            "rpc_one_way_ms": self.rpc_one_way_ms,
+            "retry_max_attempts": self.retry_max_attempts,
+            "retry_base_ms": self.retry_base_ms,
+            "retry_multiplier": self.retry_multiplier,
+            "clock_mode": "real",
             **self.extra_sim_config,
-        )
+        })
 
 
 def _seed_world(sim: Simulator, cfg: BenchConfig):

@@ -111,14 +111,48 @@ class NotificationService:
     # -- subscription queries ----------------------------------------------
 
     def get_subscribed_events(self, service: str, subscriptions) -> list[DomainEvent]:
-        """Events visible to `service` matching any subscription, oldest first."""
-        log = self._store.events_of(self.log_key(service))
+        """Events visible to `service` matching any subscription, oldest first.
+
+        Subscriptions are indexed by (event_type, sender) and then by their
+        payload requirement, keeping the lowest watermark of each, so every
+        event costs a few dict lookups however many subscriptions there are.
+        """
+        # (event_type, sender) -> (lowest watermark without a payload
+        # requirement or None, {payload key: {value: lowest watermark}})
+        index: dict[tuple, tuple] = {}
+        for sub in subscriptions:
+            unrestricted, by_key = index.get(
+                (sub.event_type, sub.sender_aggregate_id), (None, {}))
+            watermark = sub.sender_last_version
+            if sub.payload_match is None:
+                if unrestricted is None or watermark < unrestricted:
+                    unrestricted = watermark
+            else:
+                key, value = sub.payload_match
+                by_value = by_key.setdefault(key, {})
+                if value not in by_value or watermark < by_value[value]:
+                    by_value[value] = watermark
+            index[(sub.event_type, sub.sender_aggregate_id)] = (unrestricted, by_key)
+
         matched: dict[int, DomainEvent] = {}
-        for event in log:
+        for event in self._store.events_of(self.log_key(service)):
             if not event.published:
                 continue
-            if any(sub.matches(event) for sub in subscriptions):
+            entry = index.get((event.event_type, event.publisher_aggregate_id))
+            if entry is None:
+                continue
+            unrestricted, by_key = entry
+            version = event.publisher_version
+            if unrestricted is not None and version > unrestricted:
                 matched.setdefault(event.event_id, event)
+                continue
+            for key, by_value in by_key.items():
+                if key not in event.payload:
+                    continue
+                watermark = by_value.get(event.payload[key])
+                if watermark is not None and version > watermark:
+                    matched.setdefault(event.event_id, event)
+                    break
         return sorted(matched.values(), key=lambda e: (e.publisher_version, e.event_id))
 
 

@@ -8,7 +8,7 @@ advances those watermarks, so consumption is monotone per publisher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from ..aggregate import Aggregate, EventSubscription
@@ -39,12 +39,15 @@ class TournamentFull(InvariantViolation):
         super().__init__("participantLimit", message)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MemberRef:
     """A user as seen by a tournament: copied data plus upstream watermarks.
 
     exec_version is the course-execution version the copy reflects;
     user_version the user-aggregate version (0 until a user event lands).
+    An immutable value object: working copies share members with the record
+    they were copied from, and a change replaces the member with
+    ``dataclasses.replace``.
     """
 
     user_id: int
@@ -102,7 +105,7 @@ class CourseExecution(Aggregate):
 
     def copy_for_write(self):
         dup = CourseExecution(self.aggregate_id, self.course_code)
-        dup.students = {k: replace(v) for k, v in self.students.items()}
+        dup.students = dict(self.students)
         dup.state = self.state
         dup.saga_state = self.saga_state
         dup.prev_version = self.version
@@ -149,9 +152,9 @@ class Tournament(Aggregate):
 
     def copy_for_write(self):
         dup = Tournament(
-            self.aggregate_id, self.execution_id, replace(self.creator),
+            self.aggregate_id, self.execution_id, self.creator,
             self.start_time, self.end_time, self.max_participants, self.topics)
-        dup.participants = {k: replace(v) for k, v in self.participants.items()}
+        dup.participants = dict(self.participants)
         dup.state = self.state
         dup.saga_state = self.saga_state
         dup.prev_version = self.version
@@ -174,7 +177,8 @@ class Tournament(Aggregate):
         subs = []
         for member in self.members():
             subs.append(EventSubscription(
-                UPDATE_STUDENT_NAME_EVENT, self.execution_id, member.exec_version))
+                UPDATE_STUDENT_NAME_EVENT, self.execution_id, member.exec_version,
+                payload_match=("user_aggregate_id", member.user_id)))
             subs.append(EventSubscription(
                 ANONYMIZE_USER_EVENT, member.user_id, member.user_version))
         return subs

@@ -8,6 +8,8 @@ and causal consistency never touches this code.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..errors import SimulatorError
 from ..notification import DomainEvent
 from .domain import (
@@ -23,6 +25,20 @@ from .domain import (
     TournamentFull,
     User,
 )
+
+
+def _replace_member(tournament, user_id, is_stale, **changes) -> bool:
+    """Replace each of the user's member copies (creator and participant) for
+    which is_stale holds with an updated one; return whether any was."""
+    changed = False
+    if tournament.creator.user_id == user_id and is_stale(tournament.creator):
+        tournament.creator = replace(tournament.creator, **changes)
+        changed = True
+    member = tournament.participants.get(user_id)
+    if member is not None and is_stale(member):
+        tournament.participants[user_id] = replace(member, **changes)
+        changed = True
+    return changed
 
 
 class _Service:
@@ -124,7 +140,8 @@ class ExecutionService(_Service):
             raise StudentNotEnrolled(
                 f"user {payload['user_aggregate_id']} is not enrolled"
             )
-        student.name = payload["new_name"]
+        execution.students[payload["user_aggregate_id"]] = replace(
+            student, name=payload["new_name"])
         self._txn.register_changed(uow, execution)
         self._txn.register_event(
             uow,
@@ -206,13 +223,10 @@ class TournamentService(_Service):
         version = payload["publisher_version"]
         if payload["sender_execution_id"] != tournament.execution_id:
             return {"changed": False}
-        changed = False
-        for member in tournament.members():
-            if (member.user_id == payload["user_aggregate_id"]
-                    and member.exec_version < version):
-                member.name = payload["new_name"]
-                member.exec_version = version
-                changed = True
+        changed = _replace_member(
+            tournament, payload["user_aggregate_id"],
+            lambda member: member.exec_version < version,
+            name=payload["new_name"], exec_version=version)
         if changed:
             self._txn.register_changed(uow, tournament)
         return {"changed": changed}
@@ -221,12 +235,10 @@ class TournamentService(_Service):
         """Event reaction: blank out one member's name with the fixed token."""
         tournament = self._txn.aggregate_load(uow, payload["tournament_aggregate_id"])
         version = payload["publisher_version"]
-        changed = False
-        for member in tournament.members():
-            if member.user_id == payload["user_aggregate_id"] and member.user_version < version:
-                member.name = ANONYMOUS_TOKEN
-                member.user_version = version
-                changed = True
+        changed = _replace_member(
+            tournament, payload["user_aggregate_id"],
+            lambda member: member.user_version < version,
+            name=ANONYMOUS_TOKEN, user_version=version)
         if changed:
             self._txn.register_changed(uow, tournament)
         return {"changed": changed}

@@ -17,28 +17,48 @@ from .errors import SerializationError
 _SCALARS = (type(None), bool, int, float, str)
 
 
-def _check(value: Any, path: str) -> None:
-    if isinstance(value, _SCALARS):
-        return
+class _Rejected(Exception):
+    """Unwinds a failed check; each enclosing level adds its path step."""
+
+    def __init__(self, head: str, tail: str = ""):
+        super().__init__(head)
+        self.head = head
+        self.tail = tail
+        self.steps: list[str] = []  # innermost first
+
+
+def _check(value: Any) -> None:
+    # Scalar items are accepted without a call, and the path is built only
+    # on the way out of a rejection: accepted values, the common case, pay
+    # for no string formatting.
     if isinstance(value, list):
         for i, item in enumerate(value):
-            _check(item, f"{path}[{i}]")
-        return
-    if isinstance(value, dict):
+            if not isinstance(item, _SCALARS):
+                try:
+                    _check(item)
+                except _Rejected as exc:
+                    exc.steps.append(f"[{i}]")
+                    raise
+    elif isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
-                raise SerializationError(
-                    f"non-string dict key at {path}: {key!r}"
-                )
-            _check(item, f"{path}.{key}")
-        return
-    raise SerializationError(
-        f"no serialization rule for {type(value).__name__} at {path}"
-    )
+                raise _Rejected("non-string dict key at ", f": {key!r}")
+            if not isinstance(item, _SCALARS):
+                try:
+                    _check(item)
+                except _Rejected as exc:
+                    exc.steps.append(f".{key}")
+                    raise
+    elif not isinstance(value, _SCALARS):
+        raise _Rejected(f"no serialization rule for {type(value).__name__} at ")
 
 
 def encode(value: Any) -> bytes:
-    _check(value, "$")
+    try:
+        _check(value)
+    except _Rejected as exc:
+        path = "$" + "".join(reversed(exc.steps))
+        raise SerializationError(f"{exc.head}{path}{exc.tail}") from None
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 

@@ -9,6 +9,7 @@ import statistics
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -196,7 +197,7 @@ def _staged_two_aggregates_plus_event(sim, execution_id, user_id):
     txn = sim.transactions
     uow = txn.create_unit_of_work()
     execution = txn.aggregate_load(uow, execution_id)
-    execution.students[user_id].name = "renamed"
+    execution.students[user_id] = replace(execution.students[user_id], name="renamed")
     txn.register_changed(uow, execution)
     user = txn.aggregate_load(uow, user_id)
     user.name = "renamed"

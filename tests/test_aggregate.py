@@ -1,6 +1,9 @@
 import threading
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from msim.aggregate import (
     AggregateIdGenerator,
@@ -10,7 +13,7 @@ from msim.aggregate import (
 )
 from msim.errors import AggregateDeleted, AggregateNotFound, SimulatorError
 from msim.notification import DomainEvent
-from msim.sampleapp.domain import MemberRef, Tournament
+from msim.sampleapp.domain import CourseExecution, MemberRef, Tournament
 
 
 def make_tournament(aggregate_id=1, version=0, **kwargs):
@@ -118,6 +121,43 @@ def test_record_at_or_below():
     assert store.record_at_or_below(1, 3) is None
 
 
+@given(
+    versions=st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True),
+    probe=st.integers(0, 65),
+)
+def test_bisected_lookups_equal_linear_scan(versions, probe):
+    # Oracle: linear scans over the installed chain. Versions arrive out of
+    # order with gaps, and the probe may name a version that is missing.
+    store = SimulationStore()
+    for v in versions:
+        store.install(records=[make_tournament(version=v)])
+    chain = sorted(versions)
+    assert store.versions(1) == chain
+    below = [v for v in chain if v <= probe]
+    got = store.record_at_or_below(1, probe)
+    assert (got.version if got else None) == (below[-1] if below else None)
+    if probe in chain:
+        assert store.record_at(1, probe).version == probe
+        with pytest.raises(SimulatorError):
+            store.install(records=[make_tournament(version=probe)])
+        assert store.versions(1) == chain
+    else:
+        with pytest.raises(AggregateNotFound):
+            store.record_at(1, probe)
+
+
+def test_event_ids_deduplicated_in_install_and_delivery():
+    store = SimulationStore()
+    event = make_event(1, "E", 7, 1)
+    store.install(events=[("svc", event), ("svc", event)])
+    store.install(events=[("svc", event), ("svc", make_event(2, "E", 7, 2))])
+    assert [e.event_id for e in store.events_of("svc")] == [1, 2]
+    copy = event.mark_published()
+    assert store.publish_batch("svc", [1], [("sub", copy), ("sub", copy)]) == 1
+    assert store.publish_batch("svc", [1], [("sub", copy)]) == 0
+    assert store.events_of("sub") == (copy,)
+
+
 def test_prev_links_terminate():
     # Chain-walk oracle: following prev links must reach a record with no
     # predecessor without revisiting versions.
@@ -182,3 +222,55 @@ def test_tournament_declares_member_subscriptions():
     assert {s.sender_aggregate_id for s in name_subs} == {99}
     assert {s.sender_aggregate_id for s in anon_subs} == {50, 60}
     assert {s.sender_last_version for s in name_subs} == {0, 4}
+
+
+def test_subscription_payload_match():
+    sub = EventSubscription("UpdateStudentNameEvent", 7, 3,
+                            payload_match=("user_aggregate_id", 60))
+    event = make_event(1, "UpdateStudentNameEvent", 7, 5)
+    assert sub.matches(replace(event, payload={"user_aggregate_id": 60}))
+    assert not sub.matches(replace(event, payload={"user_aggregate_id": 61}))
+    assert not sub.matches(event)
+    assert not sub.matches(replace(event, publisher_version=3,
+                                   payload={"user_aggregate_id": 60}))
+
+
+def test_member_subscriptions_name_their_member():
+    t = make_tournament()
+    t.participants[60] = MemberRef(user_id=60, name="alice", exec_version=4)
+    name_subs = [s for s in t.get_event_subscriptions()
+                 if s.event_type == "UpdateStudentNameEvent"]
+    assert {s.payload_match for s in name_subs} == {
+        ("user_aggregate_id", 50), ("user_aggregate_id", 60)}
+
+
+# -- members as value objects ---------------------------------------------------
+
+
+def test_member_is_frozen():
+    member = MemberRef(user_id=60, name="alice")
+    with pytest.raises(FrozenInstanceError):
+        member.name = "bob"
+
+
+def test_copy_for_write_shares_members_and_isolates_replacements():
+    store = SimulationStore()
+    committed = make_tournament(version=1)
+    committed.participants[60] = MemberRef(user_id=60, name="alice")
+    execution = CourseExecution(99, "SE-101")
+    execution.students[60] = MemberRef(user_id=60, name="alice")
+    execution.version = 1
+    store.install(records=[committed, execution])
+
+    copy = store.latest(1).copy_for_write()
+    assert copy.creator is committed.creator
+    assert copy.participants[60] is committed.participants[60]
+    copy.participants[60] = replace(copy.participants[60], name="renamed")
+    copy.creator = replace(copy.creator, name="renamed")
+    assert store.latest(1).participants[60].name == "alice"
+    assert store.latest(1).creator.name == "carol"
+
+    exec_copy = store.latest(99).copy_for_write()
+    assert exec_copy.students[60] is execution.students[60]
+    exec_copy.students[60] = replace(exec_copy.students[60], name="renamed")
+    assert store.latest(99).students[60].name == "alice"

@@ -61,6 +61,16 @@ def test_nonpositive_counts_rejected():
         BenchConfig(clients=0).validate()
 
 
+def test_unknown_extra_sim_config_key_rejected():
+    with pytest.raises(InvalidConfig):
+        BenchConfig(extra_sim_config={"events_manual_mode": True}).validate()
+
+
+def test_extra_sim_config_accepts_dotted_keys():
+    cfg = BenchConfig(extra_sim_config={"transport.broker.delivery_ms": 1.5})
+    assert cfg.sim_config().broker_delivery_ms == 1.5
+
+
 # -- runs --------------------------------------------------------------------------
 
 
@@ -155,4 +165,6 @@ def test_cli_runs_and_writes_report(tmp_path):
 
 def test_cli_rejects_invalid_combination():
     result = CliRunner().invoke(cli_main, ["--model", "tcc", "--versioning", "snowflake"])
-    assert result.exit_code != 0
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "requires centralized versioning" in result.output

@@ -1,7 +1,13 @@
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from msim.aggregate import EventSubscription, SimulationStore
+from msim.clock import VirtualClock
 from msim.errors import InjectedCrash
-from msim.notification import DomainEvent
+from msim.notification import SHARED_LOG, DomainEvent, NotificationService
 from tests.conftest import seed_basic
 
 
@@ -34,7 +40,7 @@ def test_aborted_unit_of_work_stores_no_events(causal_sim):
     before = len(sim.store.events_of(sim.notification.log_key("execution")))
     uow = sim.transactions.create_unit_of_work()
     execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]].name = "renamed"
+    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="renamed")
     sim.transactions.register_changed(uow, execution)
     sim.transactions.register_event(
         uow,
@@ -60,7 +66,7 @@ def test_crash_between_aggregate_and_event_write_leaves_nothing(causal_sim):
 
     uow = sim.transactions.create_unit_of_work()
     execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]].name = "renamed"
+    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="renamed")
     sim.transactions.register_changed(uow, execution)
     sim.transactions.register_event(
         uow,
@@ -143,8 +149,6 @@ def brute_force_matches(events, subscriptions):
 
 
 def test_get_subscribed_events_matches_brute_force(saga_sim):
-    from msim.aggregate import EventSubscription
-
     sim = saga_sim
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     for i in range(3):
@@ -166,8 +170,6 @@ def test_get_subscribed_events_matches_brute_force(saga_sim):
 
 
 def test_last_version_boundary_is_strict(saga_sim):
-    from msim.aggregate import EventSubscription
-
     sim = saga_sim
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     sim.app.update_student_name(execution_id, user_ids[0], "renamed")
@@ -187,6 +189,54 @@ def test_last_version_boundary_is_strict(saga_sim):
     ]
     assert sim.notification.get_subscribed_events("tournament", at_boundary) == []
     assert len(sim.notification.get_subscribed_events("tournament", below)) == 1
+
+
+_types = st.sampled_from(["A", "B"])
+_senders = st.integers(1, 2)
+_versions = st.integers(0, 6)
+_payload_values = st.integers(1, 3)
+
+_events = st.lists(
+    st.tuples(
+        _types, _senders, _versions,
+        st.dictionaries(st.sampled_from(["user", "other"]), _payload_values, max_size=2),
+        st.booleans(),
+    ),
+    max_size=25,
+)
+_subscriptions = st.lists(
+    st.builds(
+        EventSubscription, _types, _senders, _versions,
+        st.none() | st.tuples(st.sampled_from(["user", "other"]), _payload_values),
+    ),
+    max_size=10,
+)
+
+
+@given(events=_events, subscriptions=_subscriptions)
+@example(  # the lowest of several watermarks on one (type, sender) decides
+    events=[("A", 1, 3, {}, True), ("A", 2, 3, {"user": 2}, True)],
+    subscriptions=[EventSubscription("A", 1, 4), EventSubscription("A", 1, 1),
+                   EventSubscription("A", 2, 5, ("user", 2)),
+                   EventSubscription("A", 2, 2, ("user", 2))],
+)
+def test_indexed_matching_equals_brute_force_filter(events, subscriptions):
+    # Oracle: every published event that any subscription's own matches()
+    # accepts, ordered by publisher version. Watermarks and versions share a
+    # small range, so events land on, below and above each watermark.
+    store = SimulationStore()
+    log = [
+        DomainEvent(event_id=i, event_type=event_type, publisher_aggregate_id=sender,
+                    publisher_version=version, payload=payload, published=published)
+        for i, (event_type, sender, version, payload, published) in enumerate(events, 1)
+    ]
+    store.install(events=[(SHARED_LOG, e) for e in log])
+    notification = NotificationService(store, VirtualClock())
+    expected = sorted(
+        (e for e in log if e.published and any(s.matches(e) for s in subscriptions)),
+        key=lambda e: (e.publisher_version, e.event_id),
+    )
+    assert notification.get_subscribed_events("tournament", subscriptions) == expected
 
 
 def test_empty_subscription_list(saga_sim):
@@ -212,6 +262,36 @@ def test_no_matching_events_processes_zero(saga_sim):
     sim = saga_sim
     seed_basic(sim)
     assert sim.run_event_handling_cycle("tournament") == 0
+
+
+def test_rename_of_non_member_calls_no_handler(saga_sim):
+    sim = saga_sim
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    sim.app.add_participant(tournament_id, execution_id, user_ids[0])
+    sim.app.update_student_name(execution_id, user_ids[1], "renamed")
+    sim.publish_pending()
+    assert sim.run_event_handling_cycle("tournament") == 0
+
+
+def test_rename_of_member_calls_handler_once_per_holding_tournament(saga_sim):
+    sim = saga_sim
+    execution_id, first, creator_id, user_ids = seed_basic(sim)
+    second, third = (
+        sim.app.create_tournament(execution_id, creator_id, start_time=0,
+                                  end_time=1000, max_participants=10)
+        for _ in range(2))
+    for tournament_id in (first, second):
+        sim.app.add_participant(tournament_id, execution_id, user_ids[0])
+    sim.app.add_participant(third, execution_id, user_ids[1])
+    sim.app.update_student_name(execution_id, user_ids[0], "renamed")
+    sim.publish_pending()
+    assert sim.run_event_handling_cycle("tournament") == 2
+    for tournament_id in (first, second):
+        view = sim.app.get_tournament(tournament_id)
+        assert view["participants"][str(user_ids[0])]["name"] == "renamed"
+    sim.app.update_student_name(execution_id, creator_id, "renamed-creator")
+    sim.publish_pending()
+    assert sim.run_event_handling_cycle("tournament") == 3
 
 
 def test_cycle_is_idempotent_over_one_event(saga_sim):

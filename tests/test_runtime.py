@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -80,7 +80,7 @@ def test_commit_is_idempotent_under_retry(causal_sim):
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     uow = sim.transactions.create_unit_of_work()
     execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]].name = "renamed"
+    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="renamed")
     sim.transactions.register_changed(uow, execution)
     sim.transactions._do_commit(uow)
     versions = sim.store.versions(execution_id)

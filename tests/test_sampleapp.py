@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from msim.aggregate import LifecycleState
@@ -110,8 +112,8 @@ def test_merge_conflicting_scalars_unresolvable():
 
 def test_merge_anonymous_name_is_absorbing():
     ancestor, committed, staged = committed_pair(
-        lambda t: setattr(t.creator, "name", ANONYMOUS_TOKEN),
-        lambda t: setattr(t.creator, "name", "renamed"),
+        lambda t: setattr(t, "creator", replace(t.creator, name=ANONYMOUS_TOKEN)),
+        lambda t: setattr(t, "creator", replace(t.creator, name="renamed")),
     )
     merged = staged.merge_fields(committed, ancestor)
     assert merged.creator.name == ANONYMOUS_TOKEN

@@ -38,6 +38,17 @@ def test_non_string_keys_rejected():
         serialization.encode({1: "value"})
 
 
+@pytest.mark.parametrize("value, message", [
+    ({"a": [1, (2, 3)]}, "no serialization rule for tuple at $.a[1]"),
+    ({"a": {1: "x"}}, "non-string dict key at $.a: 1"),
+    ([{"topics": {1, 2}}], "no serialization rule for set at $[0].topics"),
+])
+def test_rejection_names_the_path(value, message):
+    with pytest.raises(SerializationError) as excinfo:
+        serialization.encode(value)
+    assert str(excinfo.value) == message
+
+
 def test_garbage_bytes_rejected():
     with pytest.raises(SerializationError):
         serialization.decode(b"\xff\xfe not json")

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -145,7 +146,7 @@ def test_commit_version_shared_by_all_staged_aggregates(causal_sim):
     uow = sim.transactions.create_unit_of_work()
     stage_participant(sim, uow, tournament_id, user_ids[0])
     execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]].name = "renamed"
+    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="renamed")
     sim.transactions.register_changed(uow, execution)
     sim.transactions.commit(uow)
     assert (
@@ -161,7 +162,7 @@ def test_atomic_visibility_by_snapshot(causal_sim):
     uow = sim.transactions.create_unit_of_work()
     stage_participant(sim, uow, tournament_id, user_ids[0])
     execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]].name = "renamed"
+    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="renamed")
     sim.transactions.register_changed(uow, execution)
     sim.transactions.commit(uow)
     after = sim.transactions.create_unit_of_work()

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_register_changed_is_immediately_visible(saga_sim):
     versions_before = len(sim.store.versions(execution_id))
     uow = sim.transactions.create_unit_of_work()
     execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]].name = "mid-saga"
+    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="mid-saga")
     sim.transactions.register_changed(uow, execution)
     # persisted before any commit: another unit of work sees it
     other = sim.transactions.create_unit_of_work()
@@ -236,7 +237,8 @@ def test_handler_failure_discards_step_buffer(saga_sim):
     def exploding_handler(command):
         uow = sim.transactions.lookup(command.unit_of_work_ref)
         execution = sim.transactions.aggregate_load(uow, execution_id)
-        execution.students[user_ids[0]].name = "never-visible"
+        execution.students[user_ids[0]] = replace(
+            execution.students[user_ids[0]], name="never-visible")
         sim.transactions.register_changed(uow, execution)
         raise SimulatedFault("after staging")
 
