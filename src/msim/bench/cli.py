@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import click
 
+from ..config import TRANSACTION_MODELS, TRANSPORT_MODES, VERSIONING_STRATEGIES
 from ..errors import InvalidConfig
 from .runner import BenchConfig, format_report, run_bench
 
 
 @click.command(name="sim-bench")
-@click.option("--model", type=click.Choice(["saga", "tcc"]), default="saga",
+@click.option("--model", type=click.Choice(TRANSACTION_MODELS), default="saga",
               show_default=True, help="Transactional model.")
-@click.option("--transport",
-              type=click.Choice(["local", "local-serialized", "rpc", "broker"]),
-              default="local", show_default=True, help="Simulated transport.")
-@click.option("--versioning",
-              type=click.Choice(["centralized", "snowflake", "centralized-remote"]),
+@click.option("--transport", type=click.Choice(TRANSPORT_MODES), default="local",
+              show_default=True, help="Simulated transport.")
+@click.option("--versioning", type=click.Choice(VERSIONING_STRATEGIES),
               default="centralized", show_default=True,
               help="Version number strategy.")
 @click.option("--clients", type=int, default=16, show_default=True,

@@ -109,38 +109,42 @@ def _storm(sim: Simulator, cfg: BenchConfig, tournament_id, execution_id, user_i
     return latencies_ms, outcomes
 
 
+def _run_once(cfg: BenchConfig) -> dict:
+    """Seed and storm one fresh simulator; return that run's entry."""
+    sim = Simulator(cfg.sim_config())
+    try:
+        if cfg.impairments_dir:
+            sim.impairment.load_dir(cfg.impairments_dir)
+        tournament_id, execution_id, user_ids = _seed_world(sim, cfg)
+        latencies, outcomes = _storm(sim, cfg, tournament_id, execution_id, user_ids)
+        committed = sum(outcomes)
+        median_ms, p95_ms = compute_stats(latencies)
+        final = sim.app.get_tournament(tournament_id)
+        if cfg.trace_out:
+            sim.recorder.flush(cfg.trace_out)
+    finally:
+        sim.close()
+    return {
+        "latencies_ms": [round(v, 3) for v in latencies],
+        "median_ms": round(median_ms, 3),
+        "p95_ms": round(p95_ms, 3),
+        "success_rate": round(100.0 * committed / len(outcomes), 3),
+        "committed": committed,
+        "final_participant_count": len(final["participants"]),
+    }
+
+
 def run_bench(cfg: BenchConfig) -> dict:
     """Run the storm `runs` times on fresh simulators; return the report."""
     cfg.validate()
-    runs = []
     # Finer thread switching keeps lock-hold times reflecting modeled
     # latencies instead of interpreter scheduling quanta.
     previous_switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(0.001)
-    for _ in range(cfg.runs):
-        sim = Simulator(cfg.sim_config())
-        try:
-            if cfg.impairments_dir:
-                sim.impairment.load_dir(cfg.impairments_dir)
-            tournament_id, execution_id, user_ids = _seed_world(sim, cfg)
-            latencies, outcomes = _storm(
-                sim, cfg, tournament_id, execution_id, user_ids)
-            committed = sum(outcomes)
-            median_ms, p95_ms = compute_stats(latencies)
-            final = sim.app.get_tournament(tournament_id)
-            runs.append({
-                "latencies_ms": [round(v, 3) for v in latencies],
-                "median_ms": round(median_ms, 3),
-                "p95_ms": round(p95_ms, 3),
-                "success_rate": round(100.0 * committed / len(outcomes), 3),
-                "committed": committed,
-                "final_participant_count": len(final["participants"]),
-            })
-            if cfg.trace_out:
-                sim.recorder.flush(cfg.trace_out)
-        finally:
-            sim.close()
-    sys.setswitchinterval(previous_switch_interval)
+    try:
+        runs = [_run_once(cfg) for _ in range(cfg.runs)]
+    finally:
+        sys.setswitchinterval(previous_switch_interval)
     report = {"config": _config_dict(cfg), "runs": runs}
     if cfg.report_path:
         with open(cfg.report_path, "w", encoding="utf-8") as fh:

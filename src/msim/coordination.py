@@ -27,7 +27,8 @@ class Step:
     name: str
     body: object  # callable(unit_of_work)
     dependencies: tuple = ()
-    compensation: object = None  # callable(unit_of_work), saga only
+    # callable(unit_of_work); the unit-of-work service decides if it runs
+    compensation: object = None
 
     def __post_init__(self):
         self.dependencies = tuple(self.dependencies)
@@ -126,7 +127,7 @@ class Workflow:
             if span_id is not None:
                 self.recorder.end_span(span_id)
             self._executed.add(step.name)
-            if step.compensation is not None and self.uow.model == "saga":
+            if step.compensation is not None:
                 self.uow_service.register_compensation(
                     self.uow, step.compensation, label=step.name
                 )

@@ -218,8 +218,6 @@ class CommandHandlerDecorator:
 
 
 class Transport:
-    serializing = False
-
     def dispatch(self, message, execute) -> CommandResponse:
         raise NotImplementedError
 
@@ -238,8 +236,6 @@ class LocalTransport(Transport):
 class SerializedLocalTransport(Transport):
     """Direct call with a mandatory round-trip through the byte encoding."""
 
-    serializing = True
-
     def dispatch(self, message, execute) -> CommandResponse:
         wire = serialization.roundtrip(message.to_wire())
         response = execute(message_from_wire(wire))
@@ -248,8 +244,6 @@ class SerializedLocalTransport(Transport):
 
 class RpcTransport(Transport):
     """Point-to-point call with a fixed one-way latency each direction."""
-
-    serializing = True
 
     def __init__(self, clock: Clock, one_way_ms: float):
         if one_way_ms < 0:
@@ -273,8 +267,6 @@ class _ServiceQueue:
 
 class BrokerTransport(Transport):
     """Per-service queues drained by poller threads; responses correlate by id."""
-
-    serializing = True
 
     def __init__(
         self,

@@ -48,7 +48,7 @@ class SampleApp:
     def get_tournament(self, tournament_id: int) -> dict:
         workflow, result = self.functionalities.get_tournament_by_id(tournament_id)
         workflow.execute()
-        return result["view"]
+        return result
 
     def update_student_name(self, execution_id, user_id, new_name) -> None:
         workflow, _ = self.functionalities.update_student_name(

@@ -5,7 +5,9 @@ command chain: it tracks loaded and changed aggregates, events emitted, and
 the model-specific coordination state (saga locks and compensations, or the
 causal read-set). The service owning it decides when changes become
 visible: sagas persist at the end of every service invocation, causal
-transactions stage everything until commit.
+transactions stage everything until commit. It also wraps each application
+command for its model before the command is sent (``envelope``) and decides
+whether a step's compensation is kept, so application code names no model.
 
 Commit and abort are themselves dispatched as infrastructure commands
 through the gateway, so they inherit transport latency and the retry loop;
@@ -38,7 +40,6 @@ class LockRecord:
 @dataclass
 class UnitOfWork:
     uow_id: int
-    model: str  # "saga" | "causal"
     snapshot_version: int = 0
     status: UowStatus = UowStatus.ACTIVE
     changed: dict = field(default_factory=dict)  # aggregate_id -> working copy
@@ -66,8 +67,6 @@ class UnitOfWorkService:
     """Abstract transaction service: createUnitOfWork / commit / abort plus
     registration of aggregate loads, changes, and emitted events."""
 
-    model = "abstract"
-
     def __init__(self, store, versioning, notification, gateway, clock, recorder=None):
         self._store = store
         self._versioning = versioning
@@ -87,7 +86,7 @@ class UnitOfWorkService:
     def _new_uow(self, **kwargs) -> UnitOfWork:
         with self._registry_lock:
             self._uow_counter += 1
-            uow = UnitOfWork(uow_id=self._uow_counter, model=self.model, **kwargs)
+            uow = UnitOfWork(uow_id=self._uow_counter, **kwargs)
             self._registry[uow.uow_id] = uow
             return uow
 
@@ -115,6 +114,18 @@ class UnitOfWorkService:
 
     def register_event(self, uow: UnitOfWork, event) -> None:
         raise NotImplementedError
+
+    def envelope(self, uow: UnitOfWork, command: Command, lock_states=None):
+        """Wrap an application command for this model before it is sent.
+
+        lock_states names the saga states that forbid the command, the
+        first being the one it acquires; only the saga model reads it.
+        """
+        raise NotImplementedError
+
+    def register_compensation(self, uow: UnitOfWork, action, label: str) -> None:
+        """Record an undo action for a completed step. A no-op unless the
+        model writes before commit and must undo on abort (sagas)."""
 
     def decorator(self):
         raise NotImplementedError
@@ -148,14 +159,23 @@ class UnitOfWorkService:
         )
 
     def transaction_handler(self, command: Command):
-        """Gateway handler for the transaction service."""
+        """Gateway handler for the transaction service.
+
+        A unit of work that commit or abort leaves terminated is retired from
+        the registry, so the registry holds only live transactions.
+        """
         uow = self.lookup(command.unit_of_work_ref)
-        if command.command_type == "transaction.commit":
-            self._do_commit(uow)
-        elif command.command_type == "transaction.abort":
-            self._do_abort(uow)
-        else:
-            raise SimulatorError(f"unknown transaction op: {command.command_type}")
+        try:
+            if command.command_type == "transaction.commit":
+                self._do_commit(uow)
+            elif command.command_type == "transaction.abort":
+                self._do_abort(uow)
+            else:
+                raise SimulatorError(f"unknown transaction op: {command.command_type}")
+        finally:
+            if uow.status is not UowStatus.ACTIVE:
+                with self._registry_lock:
+                    self._registry.pop(uow.uow_id, None)
         return {"status": uow.status.value}
 
     # -- shared helpers ---------------------------------------------------------

@@ -42,8 +42,6 @@ from .base import UnitOfWork, UnitOfWorkService, UowStatus
 
 
 class CausalUnitOfWorkService(UnitOfWorkService):
-    model = "causal"
-
     def __init__(self, *args, commit_wait_ms: float = 70.0, commit_store_ms: float = 5.0,
                  **kwargs):
         super().__init__(*args, **kwargs)
@@ -126,6 +124,12 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                 "event publisher is not a changed aggregate in this unit of work"
             )
         uow.events.append(event)
+
+    def envelope(self, uow, command, lock_states=None):
+        """Every command carries the caller's snapshot; no locks are taken."""
+        return CausalCommandEnvelope(
+            inner=command, snapshot_version=uow.snapshot_version, uow_id=uow.uow_id
+        )
 
     # -- commit / abort -----------------------------------------------------
 

@@ -27,8 +27,6 @@ from .base import LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
 
 
 class SagaUnitOfWorkService(UnitOfWorkService):
-    model = "saga"
-
     def __init__(self, *args, lock_wait_ms: float = 100.0, **kwargs):
         super().__init__(*args, **kwargs)
         self._lock_cond = threading.Condition(threading.Lock())
@@ -145,6 +143,16 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     def register_compensation(self, uow: UnitOfWork, action, label: str) -> None:
         uow.compensations.append((label, action))
+
+    def envelope(self, uow, command, lock_states=None):
+        """A command that declares lock states takes a semantic lock."""
+        if lock_states is None:
+            return command
+        return SagaCommandEnvelope(
+            inner=command,
+            forbidden_states=list(lock_states),
+            acquire_state=lock_states[0],
+        )
 
     # -- commit / abort ----------------------------------------------------------
 

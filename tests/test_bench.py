@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from msim.bench import BenchConfig, compute_stats, run_bench
 from msim.bench.cli import main as cli_main
 from msim.bench.runner import format_report
-from msim.errors import EmptyInput, InvalidConfig
+from msim.errors import EmptyInput, InvalidConfig, MalformedPlan
 
 
 # -- statistics -------------------------------------------------------------
@@ -145,6 +146,14 @@ def test_trace_out_writes_spans(tmp_path):
     run_bench(small(trace_out=str(trace)))
     assert trace.exists()
     assert len(trace.read_text().splitlines()) > 0
+
+
+def test_failed_run_restores_switch_interval(tmp_path):
+    (tmp_path / "plan.csv").write_text("not the header\n")
+    before = sys.getswitchinterval()
+    with pytest.raises(MalformedPlan):
+        run_bench(small(impairments_dir=str(tmp_path)))
+    assert sys.getswitchinterval() == before
 
 
 # -- cli ------------------------------------------------------------------------------

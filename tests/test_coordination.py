@@ -10,6 +10,7 @@ from msim.errors import (
     SimulatorError,
     UnknownStep,
 )
+from msim.sampleapp.domain import TournamentFull
 from msim.transaction.base import UowStatus
 from tests.conftest import seed_basic
 
@@ -130,6 +131,23 @@ def test_three_step_saga_failure_runs_earlier_compensation(saga_sim):
     with pytest.raises(SimulatedFault):
         wf.execute()
     assert ran == ["one", "undo-one"]
+
+
+def test_causal_failure_runs_no_compensation(causal_sim):
+    # The same steps under causal consistency: nothing was written before
+    # commit, so the service keeps no compensation and abort runs none.
+    ran = []
+    steps = [
+        Step("one", lambda u: ran.append("one"),
+             compensation=lambda u: ran.append("undo-one")),
+        Step("two", lambda u: (_ for _ in ()).throw(SimulatedFault("no")),
+             ("one",)),
+    ]
+    wf = make_workflow(causal_sim, steps)
+    with pytest.raises(SimulatedFault):
+        wf.execute()
+    assert ran == ["one"]
+    assert wf.uow.compensations == []
 
 
 def test_exactly_one_of_commit_or_abort(saga_sim):
@@ -263,3 +281,28 @@ def test_every_executed_step_has_exactly_one_span(saga_sim):
     step_spans = [s for s in spans if s.name.startswith("step:")]
     assert len(roots) == 1
     assert sorted(s.name for s in step_spans) == ["step:a", "step:b"]
+
+
+# -- unit-of-work registry ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", ["saga", "tcc"])
+def test_terminated_units_of_work_are_retired(make_sim, model):
+    sim = make_sim(transaction_model=model, tcc_commit_store_ms=0.0)
+    execution_id, tournament_id, _, user_ids = seed_basic(sim, capacity=1)
+    committed, _ = sim.app.functionalities.add_participant(
+        tournament_id, execution_id, user_ids[0])
+    committed.execute()
+    aborted, _ = sim.app.functionalities.add_participant(
+        tournament_id, execution_id, user_ids[1])
+    with pytest.raises(TournamentFull):
+        aborted.execute()
+    paused, _ = sim.app.functionalities.add_participant(
+        tournament_id, execution_id, user_ids[1])
+    paused.execute_until("getUserStep")
+    assert committed.uow.status is UowStatus.COMMITTED
+    assert aborted.uow.status is UowStatus.ABORTED
+    for workflow in (committed, aborted):
+        with pytest.raises(SimulatorError, match="unknown unit of work"):
+            sim.transactions.lookup(workflow.uow.uow_id)
+    assert sim.transactions.lookup(paused.uow.uow_id) is paused.uow

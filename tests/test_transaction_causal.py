@@ -8,6 +8,7 @@ from msim.errors import (
     AggregateNotInSnapshot,
     IncompatibleVersioningStrategy,
     MergeConflictUnresolvable,
+    SimulatorError,
 )
 from msim.sampleapp.domain import TournamentFull
 from msim.transaction.base import UowStatus
@@ -220,6 +221,24 @@ def test_unresolvable_merge_aborts(causal_sim):
     with pytest.raises(MergeConflictUnresolvable):
         sim.transactions.commit(uow_b)
     assert sim.store.latest(tournament_id).max_participants == 50
+
+
+def test_merge_abort_retires_unit_of_work(causal_sim):
+    sim = causal_sim
+    _, tournament_id, _, _ = seed_basic(sim)
+    uow_a = sim.transactions.create_unit_of_work()
+    uow_b = sim.transactions.create_unit_of_work()
+    for uow, limit in ((uow_a, 50), (uow_b, 60)):
+        tournament = sim.transactions.aggregate_load(uow, tournament_id)
+        tournament.max_participants = limit
+        sim.transactions.register_changed(uow, tournament)
+    sim.transactions.commit(uow_a)
+    with pytest.raises(MergeConflictUnresolvable):
+        sim.transactions.commit(uow_b)
+    assert uow_b.status is UowStatus.ABORTED
+    for uow in (uow_a, uow_b):
+        with pytest.raises(SimulatorError, match="unknown unit of work"):
+            sim.transactions.lookup(uow.uow_id)
 
 
 def test_no_lost_updates_under_concurrency(causal_sim):
