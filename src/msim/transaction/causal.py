@@ -7,6 +7,12 @@ cut. Loads resolve to the greatest committed version at or below the
 snapshot and repeat-read from a per-transaction cache. Nothing becomes
 visible before commit; abort simply discards the staged state.
 
+A unit of work that staged no record and no event commits at once: its
+snapshot already is a consistent cut, so it neither enters the commit
+section nor reserves a version nor pays the modeled store write (the
+read-only transactions of Cure and Wren). Only a commit with a staged
+record or event takes the writer path below.
+
 Commit is serialized: one committer at a time reserves the next version
 number, merges each staged aggregate against any version committed after
 the snapshot (three-way, via the aggregate's merge_fields), re-verifies
@@ -134,8 +140,16 @@ class CausalUnitOfWorkService(UnitOfWorkService):
     # -- commit / abort -----------------------------------------------------
 
     def _do_commit(self, uow: UnitOfWork) -> None:
+        """Install the staged records and events as one new version.
+
+        Only a unit of work with a staged record or event enters the commit
+        section and reserves a version; a read-only one is committed as is.
+        """
         if uow.status is UowStatus.COMMITTED:
             return  # retried commit command after a transport hiccup
+        if not uow.changed and not uow.events:
+            uow.status = UowStatus.COMMITTED
+            return
         self._enter_commit_section()
         try:
             self._hook("commit:begin")

@@ -169,16 +169,19 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             self._lock_cond.notify_all()
 
     def _do_commit(self, uow: UnitOfWork) -> None:
-        """Release every semantic lock; compensations are discarded."""
+        """Release every semantic lock; compensations are discarded.
+
+        Each lock leaves the unit of work once its unlock is written, so a
+        commit retried after a failed unlock never rewrites the saga state
+        of an aggregate that another saga may have locked since.
+        """
         if uow.status is UowStatus.COMMITTED:
             return
         while uow.step_frames:
             self.flush_step(uow)
-        unlocked = set()
-        for lock in uow.locks:
-            if lock.aggregate_id not in unlocked:
-                self._write_saga_state(lock.aggregate_id, NOT_IN_SAGA)
-                unlocked.add(lock.aggregate_id)
+        while uow.locks:
+            self._write_saga_state(uow.locks[-1].aggregate_id, NOT_IN_SAGA)
+            uow.locks.pop()
         uow.compensations.clear()
         uow.status = UowStatus.COMMITTED
 
@@ -186,13 +189,16 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         """Run compensations in reverse registration order, then unlock.
 
         A failing compensation is recorded and the remaining ones still run,
-        maximizing the amount of restored state.
+        maximizing the amount of restored state. Compensations and released
+        locks are taken off the unit of work as they run, so an abort retried
+        after a failed unlock write only finishes the remaining unlocks.
         """
         if uow.status is not UowStatus.ACTIVE:
             return
         while uow.step_frames:
             self.discard_step(uow)
-        for label, action in reversed(uow.compensations):
+        compensations, uow.compensations = uow.compensations, []
+        for label, action in reversed(compensations):
             span_id = None
             if self._recorder is not None:
                 _, span_id = self._recorder.start_span(
@@ -205,11 +211,10 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             finally:
                 if span_id is not None:
                     self._recorder.end_span(span_id)
-        released = set()
-        for lock in reversed(uow.locks):
-            if lock.aggregate_id not in released:
-                self._write_saga_state(lock.aggregate_id, lock.previous_saga_state)
-                released.add(lock.aggregate_id)
+        while uow.locks:
+            lock = uow.locks[-1]
+            self._write_saga_state(lock.aggregate_id, lock.previous_saga_state)
+            uow.locks.pop()
         uow.status = UowStatus.ABORTED
 
     def decorator(self):

@@ -13,6 +13,7 @@ from msim.errors import (
 from msim.sampleapp.domain import TournamentFull
 from msim.transaction.base import UowStatus
 from tests.conftest import seed_basic
+from tests.test_acceptance import _staged_two_aggregates_plus_event
 
 
 def stage_participant(sim, uow, tournament_id, user_id, name="extra"):
@@ -239,6 +240,107 @@ def test_merge_abort_retires_unit_of_work(causal_sim):
     for uow in (uow_a, uow_b):
         with pytest.raises(SimulatorError, match="unknown unit of work"):
             sim.transactions.lookup(uow.uow_id)
+
+
+# -- read-only commits ------------------------------------------------------------
+
+
+def read_only_uow(sim, *aggregate_ids):
+    uow = sim.transactions.create_unit_of_work()
+    for aggregate_id in aggregate_ids:
+        sim.transactions.aggregate_load(uow, aggregate_id)
+    return uow
+
+
+def park_committer_at(sim, uow, stage):
+    """Run uow's commit in a thread that blocks at `stage` until released.
+
+    Returns (thread, release event); the commit section is held on return.
+    """
+    parked, release = threading.Event(), threading.Event()
+
+    def hook(reached):
+        if reached == stage:
+            parked.set()
+            release.wait(5)
+
+    sim.transactions.commit_stage_hook = hook
+    thread = threading.Thread(target=sim.transactions._do_commit, args=(uow,))
+    thread.start()
+    assert parked.wait(5), f"committer never reached {stage}"
+    return thread, release
+
+
+def test_read_only_commit_reserves_no_version_and_leaves_store(causal_sim):
+    sim = causal_sim
+    execution_id, tournament_id, _, _ = seed_basic(sim)
+    uow = read_only_uow(sim, execution_id, tournament_id)
+    stages = []
+    sim.transactions.commit_stage_hook = stages.append
+    counter = sim.versioning.get_version_number()
+    state = sim.store._state
+    sim.transactions.commit(uow)
+    assert uow.status is UowStatus.COMMITTED
+    assert sim.versioning.get_version_number() == counter
+    assert sim.store._state is state
+    assert stages == []
+
+
+def test_repeated_read_only_commit_is_a_no_op(causal_sim):
+    sim = causal_sim
+    _, tournament_id, _, _ = seed_basic(sim)
+    uow = read_only_uow(sim, tournament_id)
+    counter = sim.versioning.get_version_number()
+    state = sim.store._state
+    for _ in range(2):
+        sim.transactions._do_commit(uow)
+        assert uow.status is UowStatus.COMMITTED
+        assert sim.versioning.get_version_number() == counter
+        assert sim.store._state is state
+
+
+def test_read_only_commit_does_not_wait_for_the_commit_section(causal_sim):
+    sim = causal_sim
+    sim.transactions.commit_wait_ms = 5
+    _, tournament_id, _, user_ids = seed_basic(sim)
+    writer = sim.transactions.create_unit_of_work()
+    stage_participant(sim, writer, tournament_id, user_ids[0])
+    reader = read_only_uow(sim, tournament_id)
+    thread, release = park_committer_at(sim, writer, "commit:pre-install")
+    try:
+        sim.transactions._do_commit(reader)  # the section is held by the writer
+        assert reader.status is UowStatus.COMMITTED
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert writer.status is UowStatus.COMMITTED
+
+
+def test_read_only_commit_keeps_snapshot_isolation(causal_sim):
+    # A reader created while a two-aggregate commit is mid-install sees
+    # neither record; once the install lands a new reader sees both.
+    sim = causal_sim
+    execution_id, _, _, user_ids = seed_basic(sim)
+    user_id = user_ids[0]
+    writer = _staged_two_aggregates_plus_event(sim, execution_id, user_id)
+    thread, release = park_committer_at(sim, writer, "install:swap")
+    try:
+        reader = sim.transactions.create_unit_of_work()
+        execution = sim.transactions.aggregate_load(reader, execution_id)
+        user = sim.transactions.aggregate_load(reader, user_id)
+        assert execution.students[user_id].name == "student-0"
+        assert user.name == "student-0"
+        sim.transactions.commit(reader)
+        assert reader.status is UowStatus.COMMITTED
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert writer.status is UowStatus.COMMITTED
+    after = sim.transactions.create_unit_of_work()
+    assert sim.transactions.aggregate_load(after, execution_id).students[user_id].name == "renamed"
+    assert sim.transactions.aggregate_load(after, user_id).name == "renamed"
 
 
 def test_no_lost_updates_under_concurrency(causal_sim):

@@ -4,7 +4,12 @@ from dataclasses import replace
 import pytest
 
 from msim.aggregate import NOT_IN_SAGA
-from msim.errors import SemanticLockConflict, SimulatedFault
+from msim.errors import (
+    SemanticLockConflict,
+    ServiceUnavailable,
+    SimulatedFault,
+    SimulatorError,
+)
 from msim.messaging import Command, SagaCommandEnvelope
 from msim.sampleapp.domain import IN_UPDATE_TOURNAMENT
 from msim.transaction.base import UowStatus
@@ -178,6 +183,72 @@ def test_abort_with_no_completed_steps_runs_no_compensations(saga_sim):
     sim.transactions.abort(uow)
     assert ran == []
     assert uow.status is UowStatus.ABORTED
+
+
+def fail_version_counter_once(sim, on_call):
+    """Make the on_call-th next counter increment raise ServiceUnavailable."""
+    increment = sim.versioning.increment_and_get_version_number
+    calls = []
+
+    def flaky_increment():
+        calls.append(1)
+        if len(calls) == on_call:
+            raise ServiceUnavailable("version counter down")
+        return increment()
+
+    sim.versioning.increment_and_get_version_number = flaky_increment
+
+
+def test_retried_abort_runs_each_compensation_once(saga_sim):
+    # The first unlock write of the abort fails, so the gateway resends the
+    # abort; the retry must finish the unlock without compensating again.
+    sim = saga_sim
+    _, tournament_id, _, _ = seed_basic(sim)
+    from msim.coordination import Step, build_workflow
+
+    ran = []
+
+    def lock_step(u):
+        sim.transactions.acquire_semantic_lock(
+            u, tournament_id, [IN_UPDATE_TOURNAMENT], IN_UPDATE_TOURNAMENT)
+
+    def failing_step(u):
+        fail_version_counter_once(sim, on_call=1)
+        raise SimulatedFault("step two is broken")
+
+    uow = sim.transactions.create_unit_of_work()
+    workflow = build_workflow(
+        "lockThenFail",
+        [Step("lockStep", lock_step, compensation=lambda u: ran.append(1)),
+         Step("failingStep", failing_step, dependencies=["lockStep"])],
+        sim.transactions, uow)
+    with pytest.raises(SimulatedFault):
+        workflow.execute()
+
+    assert ran == [1]
+    assert sim.store.latest(tournament_id).saga_state == NOT_IN_SAGA
+    assert uow.status is UowStatus.ABORTED
+    with pytest.raises(SimulatorError, match="unknown unit of work"):
+        sim.transactions.lookup(uow.uow_id)
+
+
+def test_retried_commit_writes_each_unlock_once(saga_sim):
+    # The second unlock write of the commit fails, so the gateway resends
+    # the commit; the retry must not rewrite the lock already released.
+    sim = saga_sim
+    execution_id, tournament_id, _, _ = seed_basic(sim)
+    uow = sim.transactions.create_unit_of_work()
+    for aggregate_id in (tournament_id, execution_id):
+        sim.transactions.acquire_semantic_lock(
+            uow, aggregate_id, [IN_UPDATE_TOURNAMENT], IN_UPDATE_TOURNAMENT)
+    chains = {a: len(sim.store.versions(a)) for a in (tournament_id, execution_id)}
+    fail_version_counter_once(sim, on_call=2)
+    sim.transactions.commit(uow)
+
+    assert uow.status is UowStatus.COMMITTED
+    for aggregate_id, length in chains.items():
+        assert len(sim.store.versions(aggregate_id)) == length + 1
+        assert sim.store.latest(aggregate_id).saga_state == NOT_IN_SAGA
 
 
 def test_compensation_failure_does_not_stop_remaining(saga_sim):
