@@ -8,8 +8,10 @@ single gateway interface. The transport behind it is configuration:
   through the canonical byte encoding so payload problems surface locally.
 * rpc              -- serialized, with a one-way latency applied to request
   and response.
-* broker           -- serialized, queued per service, consumed by a poller
-  thread, response routed back by correlation id.
+* broker           -- serialized, queued per service, taken by event-driven
+  consumers that run one service's handlers concurrently, response routed
+  back by correlation id. Poll ticks and delivery latency are waited out
+  through the clock, and a message whose caller gave up is dropped.
 
 Handlers classify failures: DomainError outcomes are re-raised immediately
 on the caller (no retry); infrastructure outcomes are retried with
@@ -19,6 +21,7 @@ fallback raises ServiceUnavailable.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -260,13 +263,39 @@ class RpcTransport(Transport):
 
 
 class _ServiceQueue:
+    """One service's queue and its leader/followers consumer pool."""
+
     def __init__(self):
-        self.items = deque()
+        self.items: deque = deque()  # (arrived_ns, command_id, wire)
         self.lock = threading.Lock()
+        self.arrived = threading.Condition(self.lock)  # the leader parks here
+        self.promoted = threading.Condition(self.lock)  # idle followers park here
+        self.has_leader = False
+        self.idle = 0
+        self.consumers: list[threading.Thread] = []
 
 
 class BrokerTransport(Transport):
-    """Per-service queues drained by poller threads; responses correlate by id."""
+    """Per-service queues taken by event-driven consumers; responses correlate by id.
+
+    Each service queue has a leader/followers pool of consumer threads. The
+    leader parks until a message is enqueued, with no timeout, so an idle
+    broker never wakes. It sleeps through the clock until the message is due,
+    promotes an idle follower to leader (or starts one when none is idle) and
+    then runs the handler itself. Handlers of one service thus run
+    concurrently, and the pool grows only when every consumer is busy, so its
+    size follows the service's peak of messages in flight.
+
+    A message that reaches an idle consumer is taken at the first poll tick
+    at or after its arrival, ticks falling every ``poll_ms`` from when the
+    consumer went idle; a busy consumer takes the next message as soon as its
+    handler returns. Either way the message is delivered no earlier than
+    ``delivery_ms`` after it was sent.
+
+    A message whose caller has already given up (its ``command_id`` is no
+    longer pending) is dropped at delivery. A handler already running when
+    its caller times out still completes; its response is discarded.
+    """
 
     def __init__(
         self,
@@ -282,48 +311,71 @@ class BrokerTransport(Transport):
         self.poll_ms = poll_ms
         self.response_timeout_s = response_timeout_s
         self._queues: dict[str, _ServiceQueue] = {}
-        self._pollers: list[threading.Thread] = []
         self._pending: dict[int, tuple[threading.Event, list]] = {}
         self._pending_lock = threading.Lock()
-        self._stop = threading.Event()
+        self._closed = False
 
     def on_service_registered(self, service: str, execute) -> None:
         if service in self._queues:
             return
         queue = _ServiceQueue()
         self._queues[service] = queue
-        poller = threading.Thread(
-            target=self._poll_loop,
-            args=(service, queue, execute),
+        with queue.lock:
+            self._start_consumer(service, queue, execute)
+
+    def _start_consumer(self, service, queue, execute) -> None:
+        """Add a consumer to the pool; the caller holds ``queue.lock``."""
+        consumer = threading.Thread(
+            target=self._consume,
+            args=(service, queue, execute, self._clock.now_ns()),
             name=f"broker-poller-{service}",
             daemon=True,
         )
-        self._pollers.append(poller)
-        poller.start()
+        queue.consumers.append(consumer)
+        consumer.start()
 
-    def _poll_loop(self, service, queue, execute):
-        while not self._stop.is_set():
-            entry = None
+    def _consume(self, service, queue, execute, idle_since_ns):
+        poll_ns = self.poll_ms * 1e6
+        delivery_ns = self.delivery_ms * 1e6
+        leading = False
+        while True:
             with queue.lock:
-                if queue.items:
-                    entry = queue.items.popleft()
-            if entry is None:
-                self._stop.wait(self.poll_ms / 1000.0)
-                continue
-            visible_at_ns, wire = entry
-            remaining_ms = (visible_at_ns - self._clock.now_ns()) / 1e6
+                if not leading:
+                    queue.idle += 1
+                    while queue.has_leader and not self._closed:
+                        queue.promoted.wait()
+                    queue.idle -= 1
+                    queue.has_leader = leading = True
+                while not queue.items and not self._closed:
+                    queue.arrived.wait()
+                if self._closed:
+                    return
+                arrived_ns, command_id, wire = queue.items.popleft()
+            # The first poll tick at or after arrival, counted from idle.
+            ticks = max(0, math.ceil((arrived_ns - idle_since_ns) / poll_ns))
+            due_ns = max(idle_since_ns + ticks * poll_ns, arrived_ns + delivery_ns)
+            remaining_ms = (due_ns - self._clock.now_ns()) / 1e6
             if remaining_ms > 0:
                 self._clock.sleep_ms(remaining_ms)
+            with self._pending_lock:
+                if command_id not in self._pending:
+                    continue  # the caller gave up: drop it and keep leading
+            with queue.lock:
+                queue.has_leader = leading = False
+                if queue.idle:
+                    queue.promoted.notify()
+                elif not self._closed:
+                    self._start_consumer(service, queue, execute)
             message = message_from_wire(serialization.decode(wire))
             response = execute(message)
             response_wire = serialization.encode(response.to_wire())
-            command_id = response.command_id
             with self._pending_lock:
                 waiter = self._pending.get(command_id)
             if waiter is not None:
                 event, slot = waiter
                 slot.append(response_wire)
                 event.set()
+            idle_since_ns = self._clock.now_ns()
 
     def dispatch(self, message, execute) -> CommandResponse:
         command = inner_command(message)
@@ -337,9 +389,9 @@ class BrokerTransport(Transport):
             self._pending[command.command_id] = (event, slot)
         try:
             wire = serialization.encode(message.to_wire())
-            visible_at = self._clock.now_ns() + int(self.delivery_ms * 1e6)
             with queue.lock:
-                queue.items.append((visible_at, wire))
+                queue.items.append((self._clock.now_ns(), command.command_id, wire))
+                queue.arrived.notify()
             if not event.wait(self.response_timeout_s):
                 raise ServiceUnavailable(
                     f"no response from {service} within {self.response_timeout_s}s"
@@ -351,9 +403,15 @@ class BrokerTransport(Transport):
         return CommandResponse.from_wire(serialization.decode(slot[0]))
 
     def close(self) -> None:
-        self._stop.set()
-        for poller in self._pollers:
-            poller.join(timeout=1.0)
+        self._closed = True
+        consumers = []
+        for queue in self._queues.values():
+            with queue.lock:
+                queue.arrived.notify_all()
+                queue.promoted.notify_all()
+                consumers += queue.consumers
+        for consumer in consumers:
+            consumer.join(timeout=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Causal transaction service: snapshot reads, deferred persistence, and a
 commit-time merge under optimistic concurrency.
 
-A unit of work fixes its snapshot at creation: the version counter's current
-value, read inside the commit section so the snapshot is always a consistent
-cut. Loads resolve to the greatest committed version at or below the
+A unit of work fixes its snapshot at creation: the horizon, the highest
+commit version fully installed, read under the commit-section lock so the
+snapshot is always a consistent cut. Taking it costs no version-counter
+call. Loads resolve to the greatest committed version at or below the
 snapshot and repeat-read from a per-transaction cache. Nothing becomes
 visible before commit; abort simply discards the staged state.
 
@@ -93,11 +94,10 @@ class CausalUnitOfWorkService(UnitOfWorkService):
     # -- lifecycle -------------------------------------------------------
 
     def create_unit_of_work(self) -> UnitOfWork:
-        # The counter names the newest reserved version; clamp to the
-        # horizon so a snapshot never points at a half-installed commit.
-        counter = self._versioning.get_version_number()
+        # The horizon, not the counter: the counter may already name a
+        # version still being installed, and it is never below the horizon.
         with self._section_cond:
-            snapshot = min(counter, self._horizon)
+            snapshot = self._horizon
         return self._new_uow(snapshot_version=snapshot)
 
     def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):

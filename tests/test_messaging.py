@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -225,6 +229,146 @@ def test_broker_response_timeout():
     with pytest.raises(ServiceUnavailable):
         gw.send(cmd(service="slow"))
     gw.close()
+
+
+def test_broker_handler_can_send_to_its_own_service():
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+
+    def handler(c):
+        if c.payload.get("inner"):
+            return {"depth": 1}
+        return {"depth": gw.send(cmd(service="svc", payload={"inner": True}))["depth"] + 1}
+
+    gw.register_handler("svc", handler)
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1, response_timeout_s=1.0)
+    start = time.monotonic()
+    assert gw.send(cmd(service="svc")) == {"depth": 2}
+    assert time.monotonic() - start < 0.5
+    gw.close()
+
+
+def test_broker_runs_one_services_handlers_concurrently():
+    # Oracle: each handler waits at a 2-party barrier, which only a second
+    # handler running at the same time can release.
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    barrier = threading.Barrier(2, timeout=1.0)
+    gw.register_handler("svc", lambda c: {"index": barrier.wait()})
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1, response_timeout_s=2.0)
+    results, errors = [], []
+
+    def caller():
+        try:
+            results.append(gw.send(cmd(service="svc"))["index"])
+        except ServiceUnavailable as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=caller) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    assert errors == []
+    assert sorted(results) == [0, 1]
+    gw.close()
+
+
+def test_broker_drops_message_whose_caller_gave_up():
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    calls = []
+    gw.register_handler("svc", lambda c: calls.append(1) or {})
+    gw.configure_transport(
+        "broker", delivery_ms=200, poll_ms=1, response_timeout_s=0.05
+    )
+    with pytest.raises(ServiceUnavailable):
+        gw.send(cmd(service="svc"))
+    time.sleep(0.4)
+    assert calls == []
+    gw.close()
+
+
+def test_broker_idle_consumer_takes_message_at_its_poll_tick():
+    # The consumer goes idle at 0 ms and polls every 20 ms; a message sent
+    # at 5 ms with no delivery latency is taken at the 20 ms tick.
+    clock = VirtualClock()
+    gw = make_gateway(clock=clock)
+    handled = []
+    gw.register_handler("svc", lambda c: handled.append(clock.now_ns()) or {})
+    gw.configure_transport("broker", delivery_ms=0, poll_ms=20)
+    clock.advance_ms(5)
+    gw.send(cmd(service="svc"))
+    assert 20_000_000 <= handled[0] < 40_000_000
+    gw.close()
+
+
+def test_idle_broker_uses_no_cpu():
+    # A fresh interpreter, so other tests' threads stay out of the measurement.
+    code = (
+        "import time\n"
+        "from msim import SimConfig, Simulator\n"
+        "sim = Simulator(SimConfig(transport_mode='broker'))\n"
+        "time.sleep(0.2)\n"
+        "start = time.process_time()\n"
+        "time.sleep(1.0)\n"
+        "print((time.process_time() - start) * 1000)\n"
+        "sim.close()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert float(done.stdout) < 5.0
+
+
+def test_broker_consumers_under_stress_lose_no_message():
+    # More callers than cores and a short switch interval: every send must
+    # come back with its own payload, each handler run exactly once.
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    handled = []
+    gw.register_handler("stress", lambda c: handled.append(1) or dict(c.payload))
+    gw.configure_transport("broker", delivery_ms=0.5, poll_ms=0.5, response_timeout_s=5.0)
+    mismatches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def caller(client):
+            for i in range(10):
+                payload = {"client": client, "i": i}
+                if gw.send(cmd(service="stress", payload=payload)) != payload:
+                    mismatches.append(payload)
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        gw.close()
+    assert mismatches == []
+    assert len(handled) == 80
+
+
+def test_broker_close_stops_every_consumer():
+    gw = make_gateway(clock=RealClock())
+    gw.register_handler("closing", lambda c: time.sleep(0.02) or {})
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1)
+    threads = [threading.Thread(target=gw.send, args=(cmd(service="closing"),))
+               for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+
+    def consumers():
+        return [t for t in threading.enumerate() if t.name == "broker-poller-closing"]
+
+    assert len(consumers()) > 1  # followers started under load
+    gw.close()
+    assert consumers() == []
 
 
 # -- envelopes ---------------------------------------------------------------------

@@ -36,6 +36,22 @@ def test_snapshot_fixed_at_creation(causal_sim):
     assert uow.snapshot_version == horizon
 
 
+def test_create_unit_of_work_makes_no_versioning_call(causal_sim, monkeypatch):
+    sim = causal_sim
+    seed_basic(sim)
+    used = []
+
+    class Spy:
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(sim.versioning, name)
+
+    monkeypatch.setattr(sim.transactions, "_versioning", Spy())
+    uow = sim.transactions.create_unit_of_work()
+    assert uow.snapshot_version == sim.versioning.get_version_number()
+    assert used == []
+
+
 def test_load_resolves_greatest_version_at_or_below_snapshot(causal_sim):
     # Oracle: brute-force max-<= filter over the committed chain.
     sim = causal_sim
