@@ -43,22 +43,11 @@ class SimConfig:
     tcc_commit_store_ms: float = 5.0
     clock_mode: str = "real"
 
+    # Dotted keys whose field the "." -> "_" rule cannot derive.
     _DOTTED = {
-        "transaction.model": "transaction_model",
-        "transport.mode": "transport_mode",
         "transport.rpc.one_way_ms": "rpc_one_way_ms",
         "transport.broker.delivery_ms": "broker_delivery_ms",
         "transport.broker.poll_ms": "broker_poll_ms",
-        "retry.max_attempts": "retry_max_attempts",
-        "retry.base_ms": "retry_base_ms",
-        "retry.multiplier": "retry_multiplier",
-        "versioning.strategy": "versioning_strategy",
-        "versioning.machine_id": "versioning_machine_id",
-        "versioning.epoch_origin_ms": "versioning_epoch_origin_ms",
-        "versioning.db_ms": "versioning_db_ms",
-        "impairment.report_path": "impairment_report_path",
-        "impairment.plan_dir": "impairment_plan_dir",
-        "saga.lock_wait_ms": "saga_lock_wait_ms",
         "transaction.tcc.commit_wait_ms": "tcc_commit_wait_ms",
         "transaction.tcc.commit_store_ms": "tcc_commit_store_ms",
     }

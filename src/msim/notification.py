@@ -85,22 +85,19 @@ class NotificationService:
         Returns the number of events published this cycle.
         """
         published = 0
-        if self.topology == "shared":
-            pending = [e for e in self._store.events_of(SHARED_LOG) if not e.published]
-            if pending:
-                published += self._store.publish_batch(
-                    SHARED_LOG, [e.event_id for e in pending], deliveries=()
-                )
-            return published
         for service in list(self._store.event_services()):
             pending = [e for e in self._store.events_of(service) if not e.published]
             if not pending:
                 continue
-            deliveries = []
-            for event in pending:
-                for subscriber, types in self._subscribed_types.items():
-                    if subscriber != service and event.event_type in types:
-                        deliveries.append((subscriber, event.mark_published()))
+            # A subscriber reading the publisher's own log (every subscriber
+            # in the shared topology) already sees the events there.
+            subscribers = [(subscriber, types)
+                           for subscriber, types in self._subscribed_types.items()
+                           if self.log_key(subscriber) != service]
+            deliveries = [(subscriber, event.mark_published())
+                          for event in pending
+                          for subscriber, types in subscribers
+                          if event.event_type in types]
             if deliveries and self.delivery_latency_ms:
                 self._clock.sleep_ms(self.delivery_latency_ms)
             published += self._store.publish_batch(
@@ -160,8 +157,8 @@ class EventHandlingLoop:
     """Runs local consumption cycles: match events to live aggregates and
     dispatch each to its registered handler.
 
-    Handlers launch the corresponding processing functionality. Domain
-    errors are recorded and the event is retried on the next cycle;
+    Handlers launch the corresponding processing functionality. A handler's
+    DomainError is caught and the event is retried on the next cycle;
     processing is at-least-once, so handlers must be idempotent.
     """
 
@@ -170,8 +167,6 @@ class EventHandlingLoop:
         self._notification = notification
         # aggregate_type -> event_type -> handler(aggregate_id, event)
         self._handlers: dict[str, dict[str, object]] = {}
-        self._errors: list[tuple[int, str]] = []
-        self._lock = threading.Lock()
 
     def register(self, aggregate_type: str, event_type: str, handler) -> None:
         self._handlers.setdefault(aggregate_type, {})[event_type] = handler
@@ -203,11 +198,6 @@ class EventHandlingLoop:
                 try:
                     handler(aggregate_id, event)
                     processed += 1
-                except DomainError as exc:
-                    with self._lock:
-                        self._errors.append((event.event_id, str(exc)))
+                except DomainError:
+                    pass  # the event is still unprocessed: retried next cycle
         return processed
-
-    def handling_errors(self) -> list[tuple[int, str]]:
-        with self._lock:
-            return list(self._errors)

@@ -85,10 +85,7 @@ class User(Aggregate):
 
     def merge_fields(self, committed, ancestor):
         merged = self.copy_for_write()
-        merged.name = _merge_scalar("name", self.name, committed.name,
-                                    ancestor.name if ancestor else None)
-        merged.role = _merge_scalar("role", self.role, committed.role,
-                                    ancestor.role if ancestor else None)
+        _merge_scalars(merged, committed, ancestor, "name", "role")
         return merged
 
     def domain_payload(self):
@@ -120,9 +117,7 @@ class CourseExecution(Aggregate):
 
     def merge_fields(self, committed, ancestor):
         merged = self.copy_for_write()
-        merged.course_code = _merge_scalar(
-            "course_code", self.course_code, committed.course_code,
-            ancestor.course_code if ancestor else None)
+        _merge_scalars(merged, committed, ancestor, "course_code")
         merged.students = _merge_members(
             self.students, committed.students,
             ancestor.students if ancestor else {})
@@ -185,26 +180,16 @@ class Tournament(Aggregate):
 
     def merge_fields(self, committed, ancestor):
         merged = self.copy_for_write()
-        anc = ancestor if ancestor is not None else None
-        merged.start_time = _merge_scalar(
-            "start_time", self.start_time, committed.start_time,
-            anc.start_time if anc else None)
-        merged.end_time = _merge_scalar(
-            "end_time", self.end_time, committed.end_time,
-            anc.end_time if anc else None)
-        merged.max_participants = _merge_scalar(
-            "max_participants", self.max_participants, committed.max_participants,
-            anc.max_participants if anc else None)
+        _merge_scalars(merged, committed, ancestor,
+                       "start_time", "end_time", "max_participants", "state")
         merged.topics = set(_merge_scalar(
             "topics", tuple(sorted(self.topics)), tuple(sorted(committed.topics)),
-            tuple(sorted(anc.topics)) if anc else None))
-        merged.state = _merge_scalar(
-            "state", self.state, committed.state, anc.state if anc else None)
+            tuple(sorted(ancestor.topics)) if ancestor else None))
         merged.creator = _merge_member(self.creator, committed.creator,
-                                       anc.creator if anc else None)
+                                       ancestor.creator if ancestor else None)
         merged.participants = _merge_members(
             self.participants, committed.participants,
-            anc.participants if anc else {})
+            ancestor.participants if ancestor else {})
         return merged
 
     def domain_payload(self):
@@ -235,6 +220,14 @@ def _merge_scalar(field, local, committed, ancestor):
             f"both sides changed {field}: {local!r} vs {committed!r}"
         )
     return local if local_changed else committed
+
+
+def _merge_scalars(local, committed, ancestor, *names):
+    """Three-way merge of the named immutable fields, written onto local."""
+    for name in names:
+        setattr(local, name, _merge_scalar(
+            name, getattr(local, name), getattr(committed, name),
+            getattr(ancestor, name) if ancestor else None))
 
 
 def _merge_member(local: MemberRef, committed: MemberRef, ancestor: MemberRef | None):

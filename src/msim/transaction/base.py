@@ -17,6 +17,9 @@ handlers on the "transaction" service route them back to the model service.
 from __future__ import annotations
 
 import threading
+import time
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,7 +37,6 @@ class UowStatus(Enum):
 class LockRecord:
     aggregate_id: int
     previous_saga_state: str
-    previous_version: int
 
 
 @dataclass
@@ -50,17 +52,57 @@ class UnitOfWork:
     # causal state
     read_set: dict = field(default_factory=dict)  # aggregate_id -> version read
     read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record
-    # saga step buffers (stack: handler scopes may nest through compensations)
+    # saga step buffers: a stack of ([records], [events]) frames, since
+    # handler scopes may nest through compensations
     step_frames: list = field(default_factory=list)
 
-    def begin_step(self) -> None:
-        self.step_frames.append(([], []))
 
-    def current_frame(self):
-        return self.step_frames[-1] if self.step_frames else None
+class FifoGate:
+    """Bounded FIFO admission, the one wait both transactional models share.
 
-    def pop_frame(self):
-        return self.step_frames.pop()
+    Callers queue per key and only the head of a key's queue may enter, so a
+    waiter cannot starve behind lucky latecomers. The head enters once its
+    try_enter, run under the gate's lock, returns true; a caller still
+    outside after wait_ms raises the conflict its caller supplies. A state
+    change that may let a waiter in runs inside changed(), which wakes the
+    waiters. One condition serves every key.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition(threading.Lock())
+        self._queues: dict[object, deque] = {}
+
+    def enter(self, key, try_enter, wait_ms: float, conflict) -> None:
+        """Wait until try_enter() succeeds at the head of key's queue.
+
+        conflict() builds the exception raised once wait_ms has passed.
+        """
+        # Wall time: a virtual-clock deadline would never pass while the
+        # waiters block on a real condition.
+        now = time.monotonic
+        deadline = now() + wait_ms / 1000.0
+        token = object()
+        with self._cond:
+            queue = self._queues.setdefault(key, deque())
+            queue.append(token)
+            try:
+                while not (queue[0] is token and try_enter()):
+                    remaining = deadline - now()
+                    if remaining <= 0:
+                        raise conflict()
+                    self._cond.wait(remaining)
+            finally:
+                queue.remove(token)
+                if not queue:
+                    del self._queues[key]
+                self._cond.notify_all()
+
+    @contextmanager
+    def changed(self):
+        """Run the body under the gate's lock, then wake every waiter."""
+        with self._cond:
+            yield
+            self._cond.notify_all()
 
 
 class UnitOfWorkService:

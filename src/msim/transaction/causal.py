@@ -2,11 +2,12 @@
 commit-time merge under optimistic concurrency.
 
 A unit of work fixes its snapshot at creation: the horizon, the highest
-commit version fully installed, read under the commit-section lock so the
-snapshot is always a consistent cut. Taking it costs no version-counter
-call. Loads resolve to the greatest committed version at or below the
-snapshot and repeat-read from a per-transaction cache. Nothing becomes
-visible before commit; abort simply discards the staged state.
+commit version fully installed. Only the committer inside the commit
+section writes it, after its install, so the snapshot is always a
+consistent cut. Taking it costs no version-counter call. Loads resolve to
+the greatest committed version at or below the snapshot and repeat-read
+from a per-transaction cache. Nothing becomes visible before commit; abort
+simply discards the staged state.
 
 A unit of work that staged no record and no event commits at once: its
 snapshot already is a consistent cut, so it neither enters the commit
@@ -19,9 +20,10 @@ number, merges each staged aggregate against any version committed after
 the snapshot (three-way, via the aggregate's merge_fields), re-verifies
 invariants, and installs all staged versions plus their outbox events in a
 single atomic batch, giving the transaction atomic visibility. Entry into
-the commit section is bounded: a committer that cannot acquire it in time
-fails with a retryable conflict, modeling the optimistic-concurrency aborts
-a real store would produce under contention. A merge the domain declares
+the commit section is FIFO and bounded, through the FifoGate shared with
+the saga semantic locks: a committer that cannot acquire it in time fails
+with a retryable conflict, modeling the optimistic-concurrency aborts a
+real store would produce under contention. A merge the domain declares
 unresolvable, or an invariant broken after merge, converts the commit into
 an abort and returns the reserved version number.
 
@@ -30,10 +32,6 @@ it refuses to run on the decentralized snowflake strategy.
 """
 
 from __future__ import annotations
-
-import threading
-import time
-from collections import deque
 
 from ..aggregate import LifecycleState
 from ..errors import (
@@ -45,16 +43,15 @@ from ..errors import (
     SimulatorError,
 )
 from ..messaging import CausalCommandEnvelope, CommandHandlerDecorator, inner_command
-from .base import UnitOfWork, UnitOfWorkService, UowStatus
+from .base import FifoGate, UnitOfWork, UnitOfWorkService, UowStatus
 
 
 class CausalUnitOfWorkService(UnitOfWorkService):
     def __init__(self, *args, commit_wait_ms: float = 70.0, commit_store_ms: float = 5.0,
                  **kwargs):
         super().__init__(*args, **kwargs)
-        self._section_cond = threading.Condition(threading.Lock())
+        self._gate = FifoGate()
         self._section_busy = False
-        self._section_queue: deque = deque()
         # Highest fully installed commit version: the safe snapshot horizon
         # (the raw counter may already name a version still being written).
         self._horizon = 0
@@ -65,40 +62,29 @@ class CausalUnitOfWorkService(UnitOfWorkService):
 
     # -- commit section: fair FIFO admission with a bounded wait -----------
 
+    def _take_commit_section(self) -> bool:
+        if self._section_busy:
+            return False
+        self._section_busy = True
+        return True
+
     def _enter_commit_section(self) -> None:
-        deadline = time.monotonic() + self.commit_wait_ms / 1000.0
-        token = object()
-        with self._section_cond:
-            self._section_queue.append(token)
-            try:
-                while True:
-                    if self._section_queue[0] is token and not self._section_busy:
-                        self._section_busy = True
-                        return
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ConcurrentCommitConflict(
-                            f"commit section busy for more than "
-                            f"{self.commit_wait_ms}ms"
-                        )
-                    self._section_cond.wait(remaining)
-            finally:
-                self._section_queue.remove(token)
-                self._section_cond.notify_all()
+        self._gate.enter(
+            None, self._take_commit_section, self.commit_wait_ms,
+            lambda: ConcurrentCommitConflict(
+                f"commit section busy for more than {self.commit_wait_ms}ms"),
+        )
 
     def _exit_commit_section(self) -> None:
-        with self._section_cond:
+        with self._gate.changed():
             self._section_busy = False
-            self._section_cond.notify_all()
 
     # -- lifecycle -------------------------------------------------------
 
     def create_unit_of_work(self) -> UnitOfWork:
         # The horizon, not the counter: the counter may already name a
         # version still being installed, and it is never below the horizon.
-        with self._section_cond:
-            snapshot = self._horizon
-        return self._new_uow(snapshot_version=snapshot)
+        return self._new_uow(snapshot_version=self._horizon)
 
     def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
         """Working copy consistent with the causal snapshot; repeatable."""
@@ -182,8 +168,7 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                 self._store.install(
                     records=final_records, events=outbox, stage_hook=self._hook
                 )
-                with self._section_cond:
-                    self._horizon = max(self._horizon, commit_version)
+                self._horizon = max(self._horizon, commit_version)
                 uow.status = UowStatus.COMMITTED
             except (InvariantViolation, MergeConflictUnresolvable):
                 # Commit converts to abort; hand back the reserved version.

@@ -8,29 +8,26 @@ a handler failure discards only that step's writes. Isolation comes from
 semantic locks: the saga state travels on the aggregate's version chain,
 and a command whose envelope forbids the current state is rejected with a
 retryable conflict, queuing conflicting functionalities behind the gateway
-backoff. Commit releases the locks; abort first runs the registered
+backoff. The wait for a forbidden state to clear is bounded and FIFO per
+aggregate: it goes through the FifoGate shared with the causal commit
+section. Commit releases the locks; abort first runs the registered
 compensations in reverse order, each writing a new committed version that
 restores the pre-saga domain state.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-
 from ..aggregate import NOT_IN_SAGA
 from ..context import ambient
 from ..errors import AggregateDeleted, SemanticLockConflict, SimulatorError
 from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope, inner_command
-from .base import LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
+from .base import FifoGate, LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
 
 
 class SagaUnitOfWorkService(UnitOfWorkService):
     def __init__(self, *args, lock_wait_ms: float = 100.0, **kwargs):
         super().__init__(*args, **kwargs)
-        self._lock_cond = threading.Condition(threading.Lock())
-        self._wait_queues: dict[int, deque] = {}
+        self._gate = FifoGate()
         self.lock_wait_ms = lock_wait_ms
 
     # -- lifecycle -------------------------------------------------------
@@ -46,9 +43,8 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         working_copy.verify_invariants()
         working_copy.version = self._versioning.increment_and_get_version_number()
         uow.changed[working_copy.aggregate_id] = working_copy
-        frame = uow.current_frame()
-        if frame is not None:
-            frame[0].append(working_copy)
+        if uow.step_frames:
+            uow.step_frames[-1][0].append(working_copy)
         else:
             self._store.install(records=[working_copy], stage_hook=self._hook)
 
@@ -60,9 +56,8 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             )
         event = event.with_publisher_version(publisher.version)
         uow.events.append(event)
-        frame = uow.current_frame()
-        if frame is not None:
-            frame[1].append(event)
+        if uow.step_frames:
+            uow.step_frames[-1][1].append(event)
         else:
             self._store.install(
                 events=self._outbox_entries(uow, [event]), stage_hook=self._hook
@@ -70,11 +65,8 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     # -- step frames: the local transaction of one service invocation ------
 
-    def begin_step(self, uow: UnitOfWork) -> None:
-        uow.begin_step()
-
     def flush_step(self, uow: UnitOfWork) -> None:
-        records, events = uow.pop_frame()
+        records, events = uow.step_frames.pop()
         if records or events:
             self._store.install(
                 records=records,
@@ -83,7 +75,7 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             )
 
     def discard_step(self, uow: UnitOfWork) -> None:
-        records, events = uow.pop_frame()
+        records, events = uow.step_frames.pop()
         for record in records:
             uow.changed.pop(record.aggregate_id, None)
         for event in events:
@@ -91,55 +83,37 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     # -- semantic locks ------------------------------------------------------
 
+    def _install_saga_state(self, latest, saga_state: str) -> None:
+        """Write latest's next version, carrying saga_state."""
+        record = latest.copy_for_write()
+        record.saga_state = saga_state
+        record.version = self._versioning.increment_and_get_version_number()
+        self._store.install(records=[record])
+
     def acquire_semantic_lock(self, uow, aggregate_id, forbidden_states, acquire_state):
         """Atomic check-and-set of the aggregate's saga state.
 
-        Waits up to lock_wait_ms for a forbidden state to clear (woken by
-        unlock writes) before surfacing SemanticLockConflict; the conflict
-        is infrastructure-classified so the gateway queues the caller with
-        backoff.
+        Waits up to lock_wait_ms, in FIFO order per aggregate, for a
+        forbidden state to clear (woken by unlock writes) before surfacing
+        SemanticLockConflict; the conflict is infrastructure-classified so
+        the gateway queues the caller with backoff.
         """
         if any(lock.aggregate_id == aggregate_id for lock in uow.locks):
             return  # re-entrant: this saga already holds the lock
-        deadline = time.monotonic() + self.lock_wait_ms / 1000.0
-        token = object()
-        with self._lock_cond:
-            queue = self._wait_queues.setdefault(aggregate_id, deque())
-            queue.append(token)
-            try:
-                while True:
-                    latest = self._store.latest_committed(aggregate_id)
-                    # FIFO hand-off: only the head of the queue may acquire,
-                    # so a waiter cannot starve behind lucky latecomers.
-                    if queue[0] is token and latest.saga_state not in forbidden_states:
-                        record = latest.copy_for_write()
-                        record.saga_state = acquire_state
-                        record.version = (
-                            self._versioning.increment_and_get_version_number()
-                        )
-                        self._store.install(records=[record])
-                        uow.locks.append(
-                            LockRecord(
-                                aggregate_id=aggregate_id,
-                                previous_saga_state=latest.saga_state,
-                                previous_version=latest.version,
-                            )
-                        )
-                        return
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise SemanticLockConflict(
-                            f"aggregate {aggregate_id} is in a forbidden saga state"
-                        )
-                    self._lock_cond.wait(remaining)
-            finally:
-                try:
-                    queue.remove(token)
-                except ValueError:
-                    pass
-                if not queue:
-                    self._wait_queues.pop(aggregate_id, None)
-                self._lock_cond.notify_all()
+
+        def try_acquire():
+            latest = self._store.latest_committed(aggregate_id)
+            if latest.saga_state in forbidden_states:
+                return False
+            self._install_saga_state(latest, acquire_state)
+            uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
+            return True
+
+        self._gate.enter(
+            aggregate_id, try_acquire, self.lock_wait_ms,
+            lambda: SemanticLockConflict(
+                f"aggregate {aggregate_id} is in a forbidden saga state"),
+        )
 
     def register_compensation(self, uow: UnitOfWork, action, label: str) -> None:
         uow.compensations.append((label, action))
@@ -157,16 +131,12 @@ class SagaUnitOfWorkService(UnitOfWorkService):
     # -- commit / abort ----------------------------------------------------------
 
     def _write_saga_state(self, aggregate_id: int, saga_state: str) -> None:
-        with self._lock_cond:
+        with self._gate.changed():
             try:
                 latest = self._store.latest_committed(aggregate_id)
             except AggregateDeleted:
                 return  # tombstoned mid-saga; nothing left to unlock
-            record = latest.copy_for_write()
-            record.saga_state = saga_state
-            record.version = self._versioning.increment_and_get_version_number()
-            self._store.install(records=[record])
-            self._lock_cond.notify_all()
+            self._install_saga_state(latest, saga_state)
 
     def _do_commit(self, uow: UnitOfWork) -> None:
         """Release every semantic lock; compensations are discarded.
@@ -243,7 +213,7 @@ class SagaCommandDecorator(CommandHandlerDecorator):
                 message.forbidden_states,
                 message.acquire_state,
             )
-        self._service.begin_step(uow)
+        uow.step_frames.append(([], []))
         try:
             result = proceed(command)
         except BaseException:

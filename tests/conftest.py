@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from msim import SimConfig, Simulator
@@ -47,3 +50,28 @@ def seed_basic(sim, students=2, capacity=10):
         execution_id, creator_id, start_time=0, end_time=1000,
         max_participants=capacity)
     return execution_id, tournament_id, creator_id, user_ids
+
+
+def queue_waiter(gate, key, outcomes, name, call):
+    """Run `call` on a thread named `name`; return once it waits at `gate`.
+
+    The thread's outcome lands in outcomes[name]: "entered" when `call`
+    returns, else the exception it raised.
+    """
+    queued = len(gate._queues.get(key, ()))
+
+    def run():
+        try:
+            call()
+            outcomes[name] = "entered"
+        except Exception as exc:
+            outcomes[name] = exc
+
+    thread = threading.Thread(target=run, name=name)
+    thread.start()
+    deadline = time.monotonic() + 5
+    while len(gate._queues.get(key, ())) <= queued:
+        assert thread.is_alive(), f"{name} ended before it queued: {outcomes.get(name)}"
+        assert time.monotonic() < deadline, f"{name} never queued"
+        time.sleep(0.001)
+    return thread

@@ -22,6 +22,32 @@ def test_config_accepts_dotted_keys():
     assert cfg.rpc_one_way_ms == 3.5
     assert cfg.retry_max_attempts == 7
     assert set(SimConfig._DOTTED.values()) <= {f.name for f in fields(SimConfig)}
+    # Every dotted key the config has ever accepted, each with a value that
+    # differs from its field's default, so a key that lands on the wrong
+    # field, or on none, fails.
+    dotted = {
+        "transaction.model": ("transaction_model", "tcc"),
+        "transport.mode": ("transport_mode", "broker"),
+        "transport.rpc.one_way_ms": ("rpc_one_way_ms", 1.5),
+        "transport.broker.delivery_ms": ("broker_delivery_ms", 2.5),
+        "transport.broker.poll_ms": ("broker_poll_ms", 3.5),
+        "retry.max_attempts": ("retry_max_attempts", 9),
+        "retry.base_ms": ("retry_base_ms", 4.5),
+        "retry.multiplier": ("retry_multiplier", 1.5),
+        "versioning.strategy": ("versioning_strategy", "centralized-remote"),
+        "versioning.machine_id": ("versioning_machine_id", 3),
+        "versioning.epoch_origin_ms": ("versioning_epoch_origin_ms", 1000),
+        "versioning.db_ms": ("versioning_db_ms", 5.5),
+        "impairment.report_path": ("impairment_report_path", "report.jsonl"),
+        "impairment.plan_dir": ("impairment_plan_dir", "plans"),
+        "saga.lock_wait_ms": ("saga_lock_wait_ms", 6.5),
+        "transaction.tcc.commit_wait_ms": ("tcc_commit_wait_ms", 7.5),
+        "transaction.tcc.commit_store_ms": ("tcc_commit_store_ms", 8.5),
+    }
+    defaults = SimConfig()
+    for key, (name, value) in dotted.items():
+        assert getattr(defaults, name) != value
+        assert getattr(SimConfig.from_mapping({key: value}), name) == value, key
 
 
 def test_config_rejects_unknown_keys():

@@ -6,13 +6,14 @@ import pytest
 from msim import SimConfig, Simulator
 from msim.errors import (
     AggregateNotInSnapshot,
+    ConcurrentCommitConflict,
     IncompatibleVersioningStrategy,
     MergeConflictUnresolvable,
     SimulatorError,
 )
 from msim.sampleapp.domain import TournamentFull
 from msim.transaction.base import UowStatus
-from tests.conftest import seed_basic
+from tests.conftest import queue_waiter, seed_basic
 from tests.test_acceptance import _staged_two_aggregates_plus_event
 
 
@@ -331,6 +332,51 @@ def test_read_only_commit_does_not_wait_for_the_commit_section(causal_sim):
         thread.join(5)
     assert not thread.is_alive()
     assert writer.status is UowStatus.COMMITTED
+
+
+def test_commit_section_waiters_enter_in_queue_order(causal_sim):
+    # While a writer holds the commit section, the head waiter gives up at
+    # its bound without holding up the two behind it, which then enter in
+    # the order they queued.
+    sim = causal_sim
+    service = sim.transactions
+    _, tournament_id, _, user_ids = seed_basic(sim, students=4)
+    uows = {}
+    for name, user_id in zip(("writer", "impatient", "first", "second"), user_ids):
+        uows[name] = service.create_unit_of_work()
+        stage_participant(sim, uows[name], tournament_id, user_id)
+    thread, release = park_committer_at(sim, uows["writer"], "commit:pre-install")
+    entered = []
+
+    def record_entry(stage):
+        if stage == "commit:begin":
+            entered.append(threading.current_thread().name)
+
+    service.commit_stage_hook = record_entry
+    outcomes = {}
+    waiters = []
+    try:
+        for name, wait_ms in (("impatient", 50), ("first", 5000), ("second", 5000)):
+            service.commit_wait_ms = wait_ms  # read as the waiter queues
+            waiters.append(queue_waiter(
+                service._gate, None, outcomes, name,
+                lambda uow=uows[name]: service._do_commit(uow)))
+        impatient, first, second = waiters
+        impatient.join(5)
+        assert isinstance(outcomes["impatient"], ConcurrentCommitConflict)
+        assert first.is_alive() and second.is_alive()
+    finally:
+        release.set()
+        thread.join(5)
+        for waiter in waiters:
+            waiter.join(5)
+    assert not thread.is_alive()
+    assert not any(waiter.is_alive() for waiter in waiters)
+    assert entered == ["first", "second"]
+    assert outcomes["first"] == outcomes["second"] == "entered"
+    assert uows["impatient"].status is UowStatus.ACTIVE
+    participants = sim.store.latest(tournament_id).participants
+    assert set(participants) == {user_ids[0], user_ids[2], user_ids[3]}
 
 
 def test_read_only_commit_keeps_snapshot_isolation(causal_sim):

@@ -13,7 +13,7 @@ from msim.errors import (
 from msim.messaging import Command, SagaCommandEnvelope
 from msim.sampleapp.domain import IN_UPDATE_TOURNAMENT
 from msim.transaction.base import UowStatus
-from tests.conftest import seed_basic
+from tests.conftest import queue_waiter, seed_basic
 
 
 def test_register_changed_is_immediately_visible(saga_sim):
@@ -324,3 +324,42 @@ def test_handler_failure_discards_step_buffer(saga_sim):
     assert sim.store.versions(execution_id) == versions_before
     latest = sim.store.latest(execution_id)
     assert latest.students[user_ids[0]].name != "never-visible"
+
+
+def test_semantic_lock_waiters_enter_in_queue_order(saga_sim):
+    # The head waiter gives up at its bound without holding up the two
+    # behind it. The last one forbids another saga state, so it could take
+    # the lock at once, yet it enters only after the waiter queued before it.
+    sim = saga_sim
+    service = sim.transactions
+    _, tournament_id, _, _ = seed_basic(sim)
+    other_state = "IN_OTHER_SAGA"
+    holder = service.create_unit_of_work()
+    service.acquire_semantic_lock(
+        holder, tournament_id, [IN_UPDATE_TOURNAMENT], IN_UPDATE_TOURNAMENT)
+    uows = {}
+    outcomes = {}
+    waiters = []
+    for name, wait_ms, state in (("impatient", 50, IN_UPDATE_TOURNAMENT),
+                                 ("first", 5000, IN_UPDATE_TOURNAMENT),
+                                 ("second", 5000, other_state)):
+        uows[name] = uow = service.create_unit_of_work()
+        service.lock_wait_ms = wait_ms  # read as the waiter queues
+        waiters.append(queue_waiter(
+            service._gate, tournament_id, outcomes, name,
+            lambda uow=uow, state=state: service.acquire_semantic_lock(
+                uow, tournament_id, [state], state)))
+    impatient, first, second = waiters
+
+    impatient.join(5)
+    assert isinstance(outcomes["impatient"], SemanticLockConflict)
+    assert uows["impatient"].locks == []
+    assert first.is_alive() and second.is_alive()
+    service.commit(holder)
+    first.join(5)
+    second.join(5)
+    assert not first.is_alive() and not second.is_alive()
+    assert outcomes["first"] == outcomes["second"] == "entered"
+    states = [sim.store.record_at(tournament_id, version).saga_state
+              for version in sim.store.versions(tournament_id)[-3:]]
+    assert states == [NOT_IN_SAGA, IN_UPDATE_TOURNAMENT, other_state]
