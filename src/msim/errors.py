@@ -1,18 +1,20 @@
-"""Exception taxonomy and the wire-level error name registry.
-
-Errors fall into two families with different retry semantics:
+"""Exception taxonomy and the one place that classifies failures for retry.
 
 * ``DomainError`` -- a business-rule failure. It aborts the enclosing unit
-  of work and is never retried by the command gateway.
-* ``InfraError`` -- a transient infrastructure failure (lock conflicts,
-  simulated outages). The gateway retries these with exponential backoff.
+  of work and fails on its first attempt.
+* ``InfraError`` -- a transient infrastructure failure (conflicts, outages,
+  a service that stayed unavailable). The only error the gateway retries.
 
-When a command crosses a simulated service boundary, exceptions travel as
-``(error_name, message)`` pairs and are rebuilt on the caller side from the
-registry below, so classification survives serialization.
+Any other exception a handler raises is a programming error: it travels as
+``ProgrammingError``, naming the original type and message with the
+handler-side traceback, and fails on its first attempt. Across a service
+boundary an exception travels as ``(error_name, message)``, named by its
+nearest registered class and rebuilt from the registry on the caller side.
 """
 
 from __future__ import annotations
+
+import traceback
 
 
 class SimulatorError(Exception):
@@ -59,12 +61,16 @@ class ConcurrentCommitConflict(InfraError):
     """Causal commit could not enter the commit section in time. Retryable."""
 
 
-class ServiceUnavailable(SimulatorError):
-    """Raised by the gateway fallback once every retry attempt failed."""
+class ServiceUnavailable(InfraError):
+    """Retries exhausted or no broker reply. An enclosing call retries it."""
 
 
 class SerializationError(SimulatorError):
     pass
+
+
+class ProgrammingError(SimulatorError):
+    """A handler raised an exception outside both families. Never retried."""
 
 
 class DuplicateRegistration(SimulatorError):
@@ -87,11 +93,11 @@ class SequenceExhausted(SimulatorError):
     """Snowflake sequence overflow with spinning disabled (test hook)."""
 
 
-class InvalidLatencySpec(SimulatorError):
+class InvalidConfig(SimulatorError):
     pass
 
 
-class InvalidConfig(SimulatorError):
+class InvalidLatencySpec(InvalidConfig):
     pass
 
 
@@ -146,6 +152,11 @@ class InjectedCrash(BaseException):
 
 
 _BUILTIN_ERRORS = (
+    DomainError,
+    InfraError,
+    ServiceUnavailable,
+    SerializationError,
+    ProgrammingError,
     InvariantViolation,
     AggregateNotFound,
     AggregateDeleted,
@@ -160,11 +171,10 @@ _BUILTIN_ERRORS = (
 
 
 class ErrorRegistry:
-    """Maps wire-level error names back to exception classes.
+    """Maps exceptions to wire-level error names and back.
 
     Replaces reflection-based reconstruction: only registered names rebuild
-    into their concrete class; unknown domain errors fall back to a generic
-    DomainError carrying the original name in the message.
+    into their concrete class.
     """
 
     def __init__(self):
@@ -177,13 +187,25 @@ class ErrorRegistry:
             raise DuplicateRegistration(f"error name already registered: {name}")
         self._by_name[name] = exc_class
 
-    def lookup(self, name: str):
-        return self._by_name.get(name)
+    def describe(self, exc: Exception) -> tuple[str, str]:
+        """The (error_name, message) a handler's exception travels as.
 
-    def reconstruct(self, name: str, message: str) -> BaseException:
+        A registered class travels under its own name. An unregistered one
+        travels under its nearest registered base, with its own name kept in
+        the message. With no registered base it is a programming error.
+        """
+        for cls in type(exc).__mro__:
+            if self._by_name.get(cls.__name__) is cls:
+                if cls is type(exc):
+                    return cls.__name__, str(exc)
+                return cls.__name__, f"{type(exc).__name__}: {exc}"
+        trace = "".join(traceback.format_exception(exc))
+        return ProgrammingError.__name__, f"{type(exc).__name__}: {exc}\n{trace}"
+
+    def reconstruct(self, name: str, message: str) -> Exception:
         cls = self._by_name.get(name)
         if cls is None:
-            return DomainError(f"{name}: {message}")
+            return ProgrammingError(f"unregistered error {name}: {message}")
         return cls(message or name)
 
 

@@ -13,10 +13,12 @@ single gateway interface. The transport behind it is configuration:
   back by correlation id. Poll ticks and delivery latency are waited out
   through the clock, and a message whose caller gave up is dropped.
 
-Handlers classify failures: DomainError outcomes are re-raised immediately
-on the caller (no retry); infrastructure outcomes are retried with
-exponential backoff until the policy is exhausted, at which point the
-fallback raises ServiceUnavailable.
+A handler's exception comes back as the (name, message) pair that
+errors.py classifies. send() retries only an InfraError, with exponential
+backoff, and then raises ServiceUnavailable (an InfraError an enclosing
+call may retry); any other error, or an unknown service, fails at once. A
+broker reply timeout is not retried: a retry would reuse the command id,
+so the first message, still queued, could run as well.
 """
 
 from __future__ import annotations
@@ -25,28 +27,22 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import serialization
 from .clock import Clock
 from .context import ambient
 from .errors import (
-    DomainError,
     DuplicateRegistration,
     ErrorRegistry,
+    InfraError,
     InvalidConfig,
     InvalidLatencySpec,
+    SerializationError,
     ServiceUnavailable,
     SimulatorError,
 )
 
 TRANSACTION_SERVICE = "transaction"
-
-
-class Outcome(str, Enum):
-    OK = "OK"
-    DOMAIN_ERROR = "DOMAIN_ERROR"
-    INFRA_ERROR = "INFRA_ERROR"
 
 
 @dataclass
@@ -161,8 +157,9 @@ def inner_command(message) -> Command:
 
 @dataclass
 class CommandResponse:
+    """A handler's payload, or the wire name and message of its error."""
+
     command_id: int
-    outcome: Outcome
     payload: object = None
     error_name: str | None = None
     error_message: str | None = None
@@ -170,7 +167,6 @@ class CommandResponse:
     def to_wire(self) -> dict:
         return {
             "command_id": self.command_id,
-            "outcome": self.outcome.value,
             "payload": self.payload,
             "error_name": self.error_name,
             "error_message": self.error_message,
@@ -180,7 +176,6 @@ class CommandResponse:
     def from_wire(cls, data: dict) -> "CommandResponse":
         return cls(
             command_id=data["command_id"],
-            outcome=Outcome(data["outcome"]),
             payload=data["payload"],
             error_name=data["error_name"],
             error_message=data["error_message"],
@@ -368,7 +363,12 @@ class BrokerTransport(Transport):
                     self._start_consumer(service, queue, execute)
             message = message_from_wire(serialization.decode(wire))
             response = execute(message)
-            response_wire = serialization.encode(response.to_wire())
+            try:
+                response_wire = serialization.encode(response.to_wire())
+            except SerializationError as exc:
+                response = CommandResponse(
+                    command_id, error_name=type(exc).__name__, error_message=str(exc))
+                response_wire = serialization.encode(response.to_wire())
             with self._pending_lock:
                 waiter = self._pending.get(command_id)
             if waiter is not None:
@@ -380,9 +380,7 @@ class BrokerTransport(Transport):
     def dispatch(self, message, execute) -> CommandResponse:
         command = inner_command(message)
         service = command.target_service
-        queue = self._queues.get(service)
-        if queue is None:
-            raise ServiceUnavailable(f"no queue for service {service}")
+        queue = self._queues[service]
         event = threading.Event()
         slot: list = []
         with self._pending_lock:
@@ -489,45 +487,29 @@ class CommandGateway:
         return command
 
     def send(self, message):
-        """Dispatch and return the handler payload, retrying infra failures."""
+        """Dispatch and return the handler payload, retrying only an InfraError."""
         command = self._stamp(message)
+        if command.target_service not in self._handlers:
+            raise SimulatorError(f"no handler for service {command.target_service}")
         policy = self.retry_policy
-        last_response = None
         for attempt in range(1, policy.max_attempts + 1):
             response = self._transport.dispatch(message, self._execute)
-            if response.outcome is Outcome.OK:
+            if response.error_name is None:
                 return response.payload
-            if response.outcome is Outcome.DOMAIN_ERROR:
-                raise self._errors.reconstruct(
-                    response.error_name, response.error_message
-                )
-            last_response = response
-            if attempt < policy.max_attempts:
-                self._clock.sleep_ms(policy.backoff_ms(attempt))
-        return self._fallback_send(command, last_response)
-
-    def _fallback_send(self, command: Command, last_response):
-        """Safety net once every retry attempt is exhausted."""
-        detail = ""
-        if last_response is not None:
-            detail = f": last error {last_response.error_name} ({last_response.error_message})"
-        raise ServiceUnavailable(
-            f"{command.target_service} unavailable after "
-            f"{self.retry_policy.max_attempts} attempts{detail}"
-        )
+            error = self._errors.reconstruct(response.error_name, response.error_message)
+            if not isinstance(error, InfraError):
+                raise error
+            if attempt == policy.max_attempts:
+                raise ServiceUnavailable(
+                    f"{command.target_service} unavailable after {attempt} attempts: "
+                    f"last error {response.error_name} ({response.error_message})"
+                ) from error
+            self._clock.sleep_ms(policy.backoff_ms(attempt))
 
     # -- server side -------------------------------------------------------
 
     def _execute(self, message) -> CommandResponse:
         command = inner_command(message)
-        chain = self._handlers.get(command.target_service)
-        if chain is None:
-            return CommandResponse(
-                command_id=command.command_id,
-                outcome=Outcome.INFRA_ERROR,
-                error_name="NoHandler",
-                error_message=f"no handler for {command.target_service}",
-            )
         span_id = None
         try:
             if (
@@ -548,24 +530,11 @@ class CommandGateway:
                     f"handle:{command.command_type}",
                     {"service": command.target_service},
                 )
-            result = chain(message)
-            return CommandResponse(
-                command_id=command.command_id, outcome=Outcome.OK, payload=result
-            )
-        except DomainError as exc:
-            return CommandResponse(
-                command_id=command.command_id,
-                outcome=Outcome.DOMAIN_ERROR,
-                error_name=type(exc).__name__,
-                error_message=str(exc),
-            )
+            result = self._handlers[command.target_service](message)
+            return CommandResponse(command.command_id, payload=result)
         except Exception as exc:
-            return CommandResponse(
-                command_id=command.command_id,
-                outcome=Outcome.INFRA_ERROR,
-                error_name=type(exc).__name__,
-                error_message=str(exc),
-            )
+            name, text = self._errors.describe(exc)
+            return CommandResponse(command.command_id, error_name=name, error_message=text)
         finally:
             if span_id is not None:
                 self._recorder.end_span(span_id)

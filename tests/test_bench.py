@@ -173,7 +173,11 @@ def test_cli_runs_and_writes_report(tmp_path):
 
 
 def test_cli_rejects_invalid_combination():
-    result = CliRunner().invoke(cli_main, ["--model", "tcc", "--versioning", "snowflake"])
-    assert result.exit_code == 2
-    assert "Traceback" not in result.output
-    assert "requires centralized versioning" in result.output
+    for args, message in [
+        (["--model", "tcc", "--versioning", "snowflake"], "requires centralized versioning"),
+        (["--transport", "rpc", "--rpc-one-way-ms", "-1"], "latency must be >= 0"),
+    ]:
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 2, args
+        assert "Traceback" not in result.output
+        assert message in result.output

@@ -13,11 +13,14 @@ from msim.clock import RealClock, VirtualClock
 from msim.errors import (
     DomainError,
     DuplicateRegistration,
+    InfraError,
     InvalidLatencySpec,
+    ProgrammingError,
     SerializationError,
     ServiceUnavailable,
     SimulatedFault,
     SimulatedInfraFault,
+    SimulatorError,
     default_registry,
 )
 from msim.messaging import (
@@ -99,11 +102,111 @@ def test_retry_exhaustion_raises_service_unavailable():
     assert len(calls) == 4
 
 
-def test_unregistered_error_name_becomes_generic_domain_error():
+def test_unregistered_error_name_fails_fast():
     registry = default_registry()
     err = registry.reconstruct("SomethingNovel", "details")
-    assert isinstance(err, DomainError)
-    assert "SomethingNovel" in str(err)
+    assert isinstance(err, ProgrammingError)
+    assert not isinstance(err, (DomainError, InfraError))
+    assert "SomethingNovel" in str(err) and "details" in str(err)
+
+
+# -- the fail-fast set: only an InfraError is retried ------------------------------
+
+
+@pytest.fixture(params=["local", "local-serialized", "rpc", "broker"])
+def any_transport(request):
+    """A gateway on each transport whose first backoff (1 s) no send can hide."""
+    clock = VirtualClock()
+    gw = make_gateway(clock=clock, max_attempts=5, base_backoff_ms=1000)
+    gw.configure_transport(request.param)
+    yield gw, clock
+    gw.close()
+
+
+def test_handler_programming_error_fails_on_first_attempt(any_transport):
+    gw, clock = any_transport
+    calls = []
+
+    def handler_with_a_bug(c):
+        calls.append(1)
+        return {"value": c.payload["missing"]}
+
+    gw.register_handler("echo", handler_with_a_bug)
+    start = clock.now_ns()
+    with pytest.raises(ProgrammingError) as info:
+        gw.send(cmd())
+    assert calls == [1]
+    assert (clock.now_ns() - start) / 1e6 < 1000  # no backoff was waited
+    assert "KeyError: 'missing'" in str(info.value)
+    assert "handler_with_a_bug" in str(info.value)  # the handler-side traceback
+
+
+def test_unknown_service_fails_at_once(any_transport):
+    gw, clock = any_transport
+    start = clock.now_ns()
+    with pytest.raises(SimulatorError, match="no handler for service nowhere") as info:
+        gw.send(cmd(service="nowhere"))
+    assert not isinstance(info.value, InfraError)  # an enclosing call won't retry it
+    assert clock.now_ns() == start
+
+
+def test_unregistered_domain_error_travels_as_its_registered_base(any_transport):
+    gw, _ = any_transport
+    calls = []
+
+    class RuleOnlyThisTestKnows(DomainError):
+        pass
+
+    class FaultOnlyThisTestKnows(SimulatedFault):
+        pass
+
+    def handler(c):
+        calls.append(1)
+        if c.payload["error"] == "rule":
+            raise RuleOnlyThisTestKnows("broken")
+        raise FaultOnlyThisTestKnows("injected")
+
+    gw.register_handler("echo", handler)
+    with pytest.raises(DomainError, match="RuleOnlyThisTestKnows: broken"):
+        gw.send(cmd(payload={"error": "rule"}))
+    with pytest.raises(SimulatedFault, match="FaultOnlyThisTestKnows: injected"):
+        gw.send(cmd(payload={"error": "fault"}))
+    assert calls == [1, 1]
+
+
+def test_command_to_a_retired_unit_of_work_fails_on_first_attempt(saga_sim):
+    transactions = saga_sim.transactions
+    uow = transactions.create_unit_of_work()
+    transactions.commit(uow)  # a terminated unit of work leaves the registry
+    lookups = []
+    lookup = transactions.lookup
+    transactions.lookup = lambda uow_id: lookups.append(uow_id) or lookup(uow_id)
+    with pytest.raises(ProgrammingError, match="unknown unit of work"):
+        transactions.commit(uow)
+    assert lookups == [uow.uow_id]
+
+
+@pytest.mark.parametrize("mode", ["local-serialized", "rpc", "broker"])
+def test_reply_the_wire_cannot_carry_fails_on_first_attempt(mode):
+    gw = make_gateway(clock=RealClock(), max_attempts=5, base_backoff_ms=1000)
+    calls = []
+
+    def handler(c):
+        calls.append(1)
+        return {"bad": object()} if c.payload.get("bad") else {"ok": True}
+
+    gw.register_handler("svc", handler)
+    gw.configure_transport(mode, one_way_ms=1, delivery_ms=1, poll_ms=1,
+                           response_timeout_s=2.0)
+    try:
+        start = time.monotonic()
+        with pytest.raises(SerializationError):
+            gw.send(cmd(service="svc", payload={"bad": True}))
+        assert time.monotonic() - start < 0.5  # neither a backoff nor the timeout
+        assert calls == [1]
+        assert gw.send(cmd(service="svc")) == {"ok": True}  # the service still answers
+    finally:
+        gw.close()
 
 
 def test_duplicate_registration_rejected():

@@ -8,6 +8,7 @@ from msim.errors import (
     SemanticLockConflict,
     ServiceUnavailable,
     SimulatedFault,
+    SimulatedInfraFault,
     SimulatorError,
 )
 from msim.messaging import Command, SagaCommandEnvelope
@@ -280,7 +281,7 @@ def test_lock_is_reentrant_for_the_holding_saga(saga_sim, tmp_path):
     def flaky_handler(command):
         attempts.append(1)
         if len(attempts) == 1:
-            raise RuntimeError("transient failure after lock acquisition")
+            raise SimulatedInfraFault("transient failure after lock acquisition")
         return {}
 
     sim.gateway.register_handler(
