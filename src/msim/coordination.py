@@ -1,12 +1,11 @@
-"""Workflow construction and execution.
+"""Workflow execution.
 
-A functionality is a set of named steps with explicit dependencies. The
-execution plan runs them in a deterministic topological order (ready steps
-tie-break by declaration order), wraps each step in a span, exposes the
-step to fault injection through the ambient context, and drives the unit of
-work: commit when every step succeeded, abort on the first failure.
+A functionality is a list of uniquely named steps, run in the order they
+are listed. The workflow wraps each step in a span, exposes the step to
+fault injection through the ambient context, and drives the unit of work:
+commit when every step succeeded, abort on the first failure.
 
-execute_until() runs the plan only up to (and including) a named step and
+execute_until() runs the steps only up to (and including) a named one and
 pauses without committing, which is how tests build exact interleavings of
 concurrent functionalities.
 """
@@ -15,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from graphlib import CycleError, TopologicalSorter
 
 from .context import step_scope
-from .errors import CyclicDependencies, DuplicateStepName, SimulatorError, UnknownStep
+from .errors import DuplicateStepName, SimulatorError, UnknownStep
 from .transaction.base import UowStatus
 
 
@@ -26,12 +24,8 @@ from .transaction.base import UowStatus
 class Step:
     name: str
     body: object  # callable(unit_of_work)
-    dependencies: tuple = ()
     # callable(unit_of_work); the unit-of-work service decides if it runs
-    compensation: object = None
-
-    def __post_init__(self):
-        self.dependencies = tuple(self.dependencies)
+    compensation: object = field(default=None, kw_only=True)
 
 
 class WorkflowStatus(Enum):
@@ -51,10 +45,11 @@ class Workflow:
     recorder: object = None
 
     def __post_init__(self):
+        self._index = {s.name: i for i, s in enumerate(self.steps)}
+        if len(self._index) != len(self.steps):
+            raise DuplicateStepName("step names must be unique within a workflow")
         self.status = WorkflowStatus.BUILT
-        self._executed: set[str] = set()
-        self._order = _validate_and_order(self.steps)
-        self._by_name = {s.name: s for s in self.steps}
+        self._next = 0  # index of the next step to run
         self._root_ctx = None
 
     # -- public API ---------------------------------------------------------
@@ -64,12 +59,12 @@ class Workflow:
         self._run(until=None)
 
     def execute_until(self, step_name: str) -> None:
-        """Run steps in plan order up to and including step_name, then pause.
+        """Run steps in order up to and including step_name, then pause.
 
         No commit or abort happens; a later execute()/execute_until() call
-        resumes from the next unexecuted step.
+        resumes from the next step.
         """
-        if step_name not in self._by_name:
+        if step_name not in self._index:
             raise UnknownStep(f"no step named {step_name!r}")
         self._run(until=step_name)
 
@@ -81,12 +76,10 @@ class Workflow:
         self.status = WorkflowStatus.RUNNING
         if self._root_ctx is None and self.recorder is not None:
             self._root_ctx = self.recorder.create_root(self.functionality_name)
-        plan = [name for name in self._order if name not in self._executed]
-        if until is not None:
-            cutoff = self._order.index(until)
-            plan = [n for n in plan if self._order.index(n) <= cutoff]
-        for name in plan:
-            self._run_step(self._by_name[name])
+        stop = len(self.steps) if until is None else self._index[until] + 1
+        while self._next < stop:
+            self._run_step(self.steps[self._next])
+            self._next += 1
         if until is not None:
             self.status = WorkflowStatus.PAUSED
             return
@@ -126,7 +119,6 @@ class Workflow:
         else:
             if span_id is not None:
                 self.recorder.end_span(span_id)
-            self._executed.add(step.name)
             if step.compensation is not None:
                 self.uow_service.register_compensation(
                     self.uow, step.compensation, label=step.name
@@ -142,43 +134,3 @@ class Workflow:
         finally:
             self._terminate(WorkflowStatus.ABORTED)
         raise exc
-
-
-def build_workflow(
-    functionality_name: str,
-    steps,
-    uow_service,
-    uow,
-    recorder=None,
-) -> Workflow:
-    """Validate step names and dependencies and return a BUILT workflow."""
-    return Workflow(
-        functionality_name=functionality_name,
-        uow_service=uow_service,
-        uow=uow,
-        steps=list(steps),
-        recorder=recorder,
-    )
-
-
-def _validate_and_order(steps) -> list[str]:
-    names = [s.name for s in steps]
-    if len(names) != len(set(names)):
-        raise DuplicateStepName("step names must be unique within a workflow")
-    by_name = {s.name: s for s in steps}
-    for step in steps:
-        for dep in step.dependencies:
-            if dep not in by_name:
-                raise SimulatorError(f"step {step.name!r} depends on unknown {dep!r}")
-    declaration_rank = {name: i for i, name in enumerate(names)}
-    sorter = TopologicalSorter({s.name: set(s.dependencies) for s in steps})
-    try:
-        sorter.prepare()
-    except CycleError as exc:
-        raise CyclicDependencies(str(exc)) from exc
-    order: list[str] = []
-    while sorter.is_active():
-        ready = sorted(sorter.get_ready(), key=declaration_rank.__getitem__)
-        order.extend(ready)
-        sorter.done(*ready)
-    return order

@@ -105,10 +105,6 @@ class IncompatibleVersioningStrategy(InvalidConfig):
     """Causal transactions require centralized versioning."""
 
 
-class CyclicDependencies(SimulatorError):
-    pass
-
-
 class DuplicateStepName(SimulatorError):
     pass
 
@@ -186,6 +182,9 @@ class ErrorRegistry:
         if existing is not None and existing is not exc_class:
             raise DuplicateRegistration(f"error name already registered: {name}")
         self._by_name[name] = exc_class
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._by_name
 
     def describe(self, exc: Exception) -> tuple[str, str]:
         """The (error_name, message) a handler's exception travels as.

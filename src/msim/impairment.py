@@ -9,8 +9,9 @@ CSV format, header required::
 
     functionality,step,invocation_index,action,value
 
-where action is DELAY (value = milliseconds >= 0) or FAIL (value = a
-registered error name). Fired rules are appended to a JSONL report.
+where action is DELAY (value = milliseconds >= 0) or FAIL (value = an
+error name registered with the simulator's ErrorRegistry, checked at load
+time). Fired rules are appended to a JSONL report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptySpec, MalformedPlan
+from .errors import EmptySpec, ErrorRegistry, MalformedPlan, default_registry
 
 _HEADER = "functionality,step,invocation_index,action,value"
 
@@ -54,8 +55,11 @@ class PlanSpec:
 class ImpairmentHandler:
     """Thread-safe singleton-per-simulator consulted on each step invocation."""
 
-    def __init__(self, report_path: str | None = None):
+    def __init__(self, report_path: str | None = None,
+                 errors: ErrorRegistry | None = None):
         self._lock = threading.Lock()
+        # FAIL names must rebuild into a registered error when the rule fires.
+        self._errors = errors if errors is not None else default_registry()
         self._rules: list[ImpairmentRule] = []
         self._counters: dict[tuple[str, str], int] = {}
         self._report: list[dict] = []
@@ -94,6 +98,8 @@ class ImpairmentHandler:
             elif action == "FAIL":
                 if not value_s:
                     raise MalformedPlan(line_no, "FAIL requires an error name")
+                if value_s not in self._errors:
+                    raise MalformedPlan(line_no, f"unregistered error name: {value_s!r}")
                 rules.append(ImpairmentRule(functionality, step, index, "FAIL", value_s))
             else:
                 raise MalformedPlan(line_no, f"unknown action: {action!r}")
@@ -107,12 +113,6 @@ class ImpairmentHandler:
         for csv_path in sorted(Path(directory).glob("*.csv")):
             total += self.load_plan(csv_path)
         return total
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rules.clear()
-            self._counters.clear()
-            self._report.clear()
 
     # -- consultation --------------------------------------------------
 

@@ -35,7 +35,8 @@ class Simulator:
         self.clock = VirtualClock() if config.clock_mode == "virtual" else RealClock()
         self.errors = default_registry()
         self.recorder = SpanRecorder(self.clock)
-        self.impairment = ImpairmentHandler(report_path=config.impairment_report_path)
+        self.impairment = ImpairmentHandler(
+            report_path=config.impairment_report_path, errors=self.errors)
         self.store = SimulationStore()
         self.ids = AggregateIdGenerator()
 

@@ -76,35 +76,19 @@ def register_sample_app(runtime) -> SampleApp:
     runtime.gateway.register_handler(
         "tournament", TournamentService(runtime).handle, decorators)
 
-    # Subscription conditions: skip events that cannot apply to this
-    # tournament before any workflow (and any semantic lock) is involved.
-    def on_student_name_update(tournament_id, event):
-        latest = runtime.store.latest(tournament_id)
-        applies = latest.execution_id == event.publisher_aggregate_id and any(
-            member.user_id == event.payload["user_aggregate_id"]
-            and member.exec_version < event.publisher_version
-            for member in latest.members()
-        )
-        if not applies:
-            return
-        workflow, _ = app.functionalities.process_student_name_update(
-            tournament_id, event)
-        workflow.execute()
-
-    def on_anonymize(tournament_id, event):
-        latest = runtime.store.latest(tournament_id)
-        applies = any(
-            member.user_id == event.payload["user_aggregate_id"]
-            and member.user_version < event.publisher_version
-            for member in latest.members()
-        )
-        if not applies:
-            return
-        workflow, _ = app.functionalities.process_anonymize_user(
-            tournament_id, event)
-        workflow.execute()
+    # A tournament's subscriptions already narrow each event by sender,
+    # member and version, and the handler skips a stale one, so a reaction
+    # only runs its processing functionality.
+    def reaction(process):
+        def react(tournament_id, event):
+            workflow, _ = process(tournament_id, event)
+            workflow.execute()
+        return react
 
     runtime.events.register(
-        "tournament", UPDATE_STUDENT_NAME_EVENT, on_student_name_update)
-    runtime.events.register("tournament", ANONYMIZE_USER_EVENT, on_anonymize)
+        "tournament", UPDATE_STUDENT_NAME_EVENT,
+        reaction(app.functionalities.process_student_name_update))
+    runtime.events.register(
+        "tournament", ANONYMIZE_USER_EVENT,
+        reaction(app.functionalities.process_anonymize_user))
     return app

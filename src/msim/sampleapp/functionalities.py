@@ -1,18 +1,18 @@
 """Workflow builders for the bundled functionalities.
 
-A functionality is a list of named steps over the domain services. Each
-step sends one command through `_send`, which lets the configured
-unit-of-work service wrap it for its transactional model: a saga turns the
-declared lock states into a semantic-lock envelope, causal consistency
-attaches the caller's snapshot. A step may name a compensation; the
-unit-of-work service decides whether it is ever kept and run. The builders
-therefore name no transactional model, and switching models is purely a
-configuration change.
+A functionality is a list of named steps over the domain services, run in
+the order listed. Each step sends one command through `_send`, which lets
+the configured unit-of-work service wrap it for its transactional model: a
+saga turns the declared lock states into a semantic-lock envelope, causal
+consistency attaches the caller's snapshot. A step may name a compensation;
+the unit-of-work service decides whether it is ever kept and run. The
+builders therefore name no transactional model, and switching models is
+purely a configuration change.
 """
 
 from __future__ import annotations
 
-from ..coordination import Step, build_workflow
+from ..coordination import Step, Workflow
 from ..messaging import Command
 from .domain import IN_UPDATE_TOURNAMENT
 
@@ -37,11 +37,11 @@ class Functionalities:
     def _workflow(self, name, result, steps):
         """A built workflow on a new unit of work, and the dict its steps fill."""
         transactions = self._runtime.transactions
-        workflow = build_workflow(
+        workflow = Workflow(
             functionality_name=name,
-            steps=steps,
             uow_service=transactions,
             uow=transactions.create_unit_of_work(),
+            steps=steps,
             recorder=self._runtime.recorder,
         )
         return workflow, result
@@ -99,8 +99,7 @@ class Functionalities:
 
         return self._workflow("addParticipant", result, [
             Step("getUserStep", get_user_step),
-            Step("addParticipantStep", add_participant_step,
-                 dependencies=["getUserStep"], compensation=undo_add),
+            Step("addParticipantStep", add_participant_step, compensation=undo_add),
         ])
 
     # -- choreography-style Type D -----------------------------------------
@@ -160,7 +159,7 @@ class Functionalities:
 
         return self._workflow("createEnrolledStudent", result, [
             Step("createUserStep", create_user_step),
-            Step("enrollStep", enroll_step, dependencies=["createUserStep"]),
+            Step("enrollStep", enroll_step),
         ])
 
     def enroll_student(self, execution_id, user_id):
@@ -179,7 +178,7 @@ class Functionalities:
 
         return self._workflow("enrollStudent", result, [
             Step("getUserStep", get_user_step),
-            Step("enrollStep", enroll_step, dependencies=["getUserStep"]),
+            Step("enrollStep", enroll_step),
         ])
 
     def create_tournament(self, execution_id, creator_user_id, start_time, end_time,
@@ -202,5 +201,5 @@ class Functionalities:
 
         return self._workflow("createTournament", result, [
             Step("getCreatorStep", get_creator_step),
-            Step("createTournamentStep", create_step, dependencies=["getCreatorStep"]),
+            Step("createTournamentStep", create_step),
         ])

@@ -3,7 +3,7 @@
 A UnitOfWork is the transaction context passed through a functionality's
 command chain: it tracks loaded and changed aggregates, events emitted, and
 the model-specific coordination state (saga locks and compensations, or the
-causal read-set). The service owning it decides when changes become
+causal read cache). The service owning it decides when changes become
 visible: sagas persist at the end of every service invocation, causal
 transactions stage everything until commit. It also wraps each application
 command for its model before the command is sent (``envelope``) and decides
@@ -48,10 +48,11 @@ class UnitOfWork:
     events: list = field(default_factory=list)
     # saga state
     locks: list = field(default_factory=list)  # LockRecord, acquisition order
+    # Set, under the lock gate, once abort starts releasing locks.
+    locks_closed: bool = False
     compensations: list = field(default_factory=list)  # (label, callable)
     # causal state
-    read_set: dict = field(default_factory=dict)  # aggregate_id -> version read
-    read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record
+    read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record read
     # saga step buffers: a stack of ([records], [events]) frames, since
     # handler scopes may nest through compensations
     step_frames: list = field(default_factory=list)

@@ -102,7 +102,6 @@ class CausalUnitOfWorkService(UnitOfWorkService):
             if record.state is LifecycleState.DELETED:
                 raise AggregateDeleted(f"aggregate {aggregate_id} is deleted")
             uow.read_cache[aggregate_id] = record
-            uow.read_set[aggregate_id] = record.version
         return record.copy_for_write()
 
     def register_changed(self, uow: UnitOfWork, working_copy) -> None:
@@ -145,17 +144,16 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                 final_records = []
                 for aggregate_id, staged in uow.changed.items():
                     latest = self._store.latest_or_none(aggregate_id)
+                    # The version this transaction read: the merge ancestor.
+                    # None for an aggregate it created.
+                    ancestor = uow.read_cache.get(aggregate_id)
                     working = staged
                     if latest is not None and latest.version > uow.snapshot_version:
-                        ancestor = None
-                        read_version = uow.read_set.get(aggregate_id)
-                        if read_version is not None:
-                            ancestor = self._store.record_at(aggregate_id, read_version)
                         working = staged.merge_fields(latest, ancestor)
                         working.verify_invariants()
                         self._hook(f"commit:merged:{aggregate_id}")
                     working.version = commit_version
-                    working.prev_version = uow.read_set.get(aggregate_id)
+                    working.prev_version = None if ancestor is None else ancestor.version
                     final_records.append(working)
                     self._hook(f"commit:staged:{aggregate_id}")
                 outbox = self._outbox_entries(

@@ -96,12 +96,17 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         Waits up to lock_wait_ms, in FIFO order per aggregate, for a
         forbidden state to clear (woken by unlock writes) before surfacing
         SemanticLockConflict; the conflict is infrastructure-classified so
-        the gateway queues the caller with backoff.
+        the gateway queues the caller with backoff. A unit of work whose
+        abort has begun releasing its locks takes no new one: a handler
+        still waiting when its caller gave up must not lock the aggregate
+        for good.
         """
         if any(lock.aggregate_id == aggregate_id for lock in uow.locks):
             return  # re-entrant: this saga already holds the lock
 
         def try_acquire():
+            if uow.locks_closed:
+                raise SimulatorError(f"unit of work {uow.uow_id} takes no new locks")
             latest = self._store.latest_committed(aggregate_id)
             if latest.saga_state in forbidden_states:
                 return False
@@ -181,6 +186,13 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             finally:
                 if span_id is not None:
                     self._recorder.end_span(span_id)
+        # Under the gate's lock, so a lock taken by a handler whose caller
+        # gave up is either refused or already on uow.locks for the drain
+        # below. A commit needs no such step: it follows only steps whose
+        # commands all returned, so no lock request of uow is in flight,
+        # and it keeps read-only commits off the gate.
+        with self._gate.changed():
+            uow.locks_closed = True
         while uow.locks:
             lock = uow.locks[-1]
             self._write_saga_state(lock.aggregate_id, lock.previous_saga_state)

@@ -46,8 +46,6 @@ class SnowflakeConfig:
 
 
 class VersionService:
-    strategy = "abstract"
-
     def get_version_number(self) -> int:
         raise NotImplementedError
 
@@ -69,8 +67,6 @@ class CentralizedVersionService(VersionService):
     which is exactly the contention bottleneck a decentralized generator
     removes. Zero by default; the simulator wires in its configured cost.
     """
-
-    strategy = "centralized"
 
     def __init__(self, start: int = 0, clock: Clock | None = None, db_latency_ms: float = 0.0):
         self._value = start
@@ -114,8 +110,6 @@ class SnowflakeVersionService(VersionService):
     allow_spin=False turns that into SequenceExhausted for tests running
     under a frozen clock.
     """
-
-    strategy = "snowflake"
 
     def __init__(self, clock: Clock, config: SnowflakeConfig | None = None, allow_spin: bool = True):
         self._clock = clock
@@ -174,8 +168,6 @@ class RemoteVersionService(VersionService):
     Version operations become infrastructure commands, so rpc/broker modes
     add their round-trip latency to every version request.
     """
-
-    strategy = "centralized-remote"
 
     def __init__(self, gateway, target_service: str = VERSIONING_SERVICE):
         self._gateway = gateway

@@ -1,10 +1,7 @@
-from itertools import permutations
-
 import pytest
 
-from msim.coordination import Step, WorkflowStatus, build_workflow
+from msim.coordination import Step, Workflow, WorkflowStatus
 from msim.errors import (
-    CyclicDependencies,
     DuplicateStepName,
     SimulatedFault,
     SimulatorError,
@@ -15,41 +12,30 @@ from msim.transaction.base import UowStatus
 from tests.conftest import seed_basic
 
 
-def probe_steps(trace, names_and_deps):
-    return [
-        Step(name, (lambda n: lambda u: trace.append(n))(name), deps)
-        for name, deps in names_and_deps
-    ]
+def probe_steps(trace, names):
+    return [Step(name, (lambda n: lambda u: trace.append(n))(name)) for name in names]
 
 
 def make_workflow(sim, steps, name="probe"):
     uow = sim.transactions.create_unit_of_work()
-    return build_workflow(name, steps, sim.transactions, uow,
-                          recorder=sim.recorder)
+    return Workflow(name, sim.transactions, uow, steps, recorder=sim.recorder)
 
 
 # -- construction ------------------------------------------------------------
 
 
 def test_single_step_workflow_valid(saga_sim):
-    wf = make_workflow(saga_sim, probe_steps([], [("only", ())]))
+    wf = make_workflow(saga_sim, probe_steps([], ["only"]))
     assert wf.status is WorkflowStatus.BUILT
 
 
 def test_listing_shape_two_steps(saga_sim):
     trace = []
-    steps = probe_steps(trace, [("getUserStep", ()),
-                                ("addParticipantStep", ("getUserStep",))])
+    steps = probe_steps(trace, ["getUserStep", "addParticipantStep"])
     wf = make_workflow(saga_sim, steps)
     wf.execute()
     assert trace == ["getUserStep", "addParticipantStep"]
     assert wf.status is WorkflowStatus.COMMITTED
-
-
-def test_cycle_rejected(saga_sim):
-    steps = [Step("a", lambda u: None, ("b",)), Step("b", lambda u: None, ("a",))]
-    with pytest.raises(CyclicDependencies):
-        make_workflow(saga_sim, steps)
 
 
 def test_duplicate_step_name_rejected(saga_sim):
@@ -58,38 +44,18 @@ def test_duplicate_step_name_rejected(saga_sim):
         make_workflow(saga_sim, steps)
 
 
-def test_unknown_dependency_rejected(saga_sim):
-    with pytest.raises(SimulatorError):
-        make_workflow(saga_sim, [Step("a", lambda u: None, ("ghost",))])
+def test_positional_compensation_rejected():
+    # A dependency tuple in the old third position must not be taken as a
+    # compensation.
+    with pytest.raises(TypeError):
+        Step("b", lambda u: None, ("a",))
 
 
 # -- execution order -----------------------------------------------------------
 
 
-def valid_orders(names_and_deps):
-    # Oracle: enumerate every permutation and keep those where each step
-    # follows all of its dependencies.
-    names = [n for n, _ in names_and_deps]
-    deps = dict(names_and_deps)
-    orders = []
-    for perm in permutations(names):
-        if all(
-            perm.index(d) < perm.index(n) for n in names for d in deps[n]
-        ):
-            orders.append(list(perm))
-    return orders
-
-
-def test_diamond_order_is_a_valid_topological_order(saga_sim):
-    shape = [("A", ()), ("B", ("A",)), ("C", ("A",)), ("D", ("B", "C"))]
-    trace = []
-    wf = make_workflow(saga_sim, probe_steps(trace, shape))
-    wf.execute()
-    assert trace in valid_orders(shape)
-
-
 def test_declaration_order_breaks_ties(saga_sim):
-    shape = [("C", ()), ("A", ()), ("B", ())]
+    shape = ["C", "A", "B"]
     trace = []
     wf = make_workflow(saga_sim, probe_steps(trace, shape))
     wf.execute()
@@ -103,9 +69,8 @@ def test_step_failure_aborts_and_reraises(saga_sim):
     trace = []
     steps = [
         Step("one", lambda u: trace.append("one")),
-        Step("two", lambda u: (_ for _ in ()).throw(SimulatedFault("boom")),
-             ("one",)),
-        Step("three", lambda u: trace.append("three"), ("two",)),
+        Step("two", lambda u: (_ for _ in ()).throw(SimulatedFault("boom"))),
+        Step("three", lambda u: trace.append("three")),
     ]
     wf = make_workflow(saga_sim, steps)
     with pytest.raises(SimulatedFault):
@@ -123,9 +88,8 @@ def test_three_step_saga_failure_runs_earlier_compensation(saga_sim):
         Step("one", lambda u: ran.append("one"),
              compensation=lambda u: ran.append("undo-one")),
         Step("two", lambda u: (_ for _ in ()).throw(SimulatedFault("no")),
-             ("one",),
              compensation=lambda u: ran.append("undo-two")),
-        Step("three", lambda u: ran.append("three"), ("two",)),
+        Step("three", lambda u: ran.append("three")),
     ]
     wf = make_workflow(saga_sim, steps)
     with pytest.raises(SimulatedFault):
@@ -140,8 +104,7 @@ def test_causal_failure_runs_no_compensation(causal_sim):
     steps = [
         Step("one", lambda u: ran.append("one"),
              compensation=lambda u: ran.append("undo-one")),
-        Step("two", lambda u: (_ for _ in ()).throw(SimulatedFault("no")),
-             ("one",)),
+        Step("two", lambda u: (_ for _ in ()).throw(SimulatedFault("no"))),
     ]
     wf = make_workflow(causal_sim, steps)
     with pytest.raises(SimulatedFault):
@@ -176,7 +139,7 @@ def test_exactly_one_of_commit_or_abort(saga_sim):
 
 def test_execute_until_pauses_without_commit(saga_sim):
     trace = []
-    steps = probe_steps(trace, [("a", ()), ("b", ("a",)), ("c", ("b",))])
+    steps = probe_steps(trace, ["a", "b", "c"])
     wf = make_workflow(saga_sim, steps)
     wf.execute_until("b")
     assert trace == ["a", "b"]
@@ -189,7 +152,7 @@ def test_execute_until_pauses_without_commit(saga_sim):
 
 def test_execute_until_last_step_then_execute_commits(saga_sim):
     trace = []
-    steps = probe_steps(trace, [("a", ()), ("b", ("a",))])
+    steps = probe_steps(trace, ["a", "b"])
     wf = make_workflow(saga_sim, steps)
     wf.execute_until("b")
     assert wf.status is WorkflowStatus.PAUSED
@@ -257,8 +220,7 @@ def test_aborted_workflow_records_connected_compensation_spans(saga_sim):
     sim = saga_sim
     steps = [
         Step("writes", lambda u: None, compensation=lambda u: None),
-        Step("fails", lambda u: (_ for _ in ()).throw(SimulatedFault("x")),
-             ("writes",)),
+        Step("fails", lambda u: (_ for _ in ()).throw(SimulatedFault("x"))),
     ]
     wf = make_workflow(sim, steps, name="abortTrace")
     with pytest.raises(SimulatedFault):
@@ -273,7 +235,7 @@ def test_aborted_workflow_records_connected_compensation_spans(saga_sim):
 def test_every_executed_step_has_exactly_one_span(saga_sim):
     sim = saga_sim
     trace = []
-    steps = probe_steps(trace, [("a", ()), ("b", ("a",))])
+    steps = probe_steps(trace, ["a", "b"])
     wf = make_workflow(sim, steps, name="spanCheck")
     wf.execute()
     spans = sim.recorder.finished_spans()

@@ -33,12 +33,23 @@ def test_load_counts_rules(tmp_path):
         "f,s,x,DELAY,10",            # non-integer index
         "f,s,1,DELAY",               # missing column
         "f,s,1,FAIL,",               # missing error name
+        "f,s,1,FAIL,SimulatedCrash", # unregistered error name
     ],
 )
 def test_malformed_rows_rejected(tmp_path, row):
     handler = ImpairmentHandler()
-    with pytest.raises(MalformedPlan):
+    with pytest.raises(MalformedPlan) as info:
         handler.load_plan(write_plan(tmp_path, row + "\n"))
+    assert info.value.line_no == 2
+
+
+def test_simulator_plan_accepts_application_error_names(make_sim, tmp_path):
+    # The simulator's registry also holds the sample app's domain errors.
+    sim = make_sim()
+    plan = write_plan(tmp_path, "addParticipant,addParticipantStep,1,FAIL,TournamentFull\n")
+    assert sim.impairment.load_plan(plan) == 1
+    with pytest.raises(MalformedPlan):
+        ImpairmentHandler().load_plan(plan)
 
 
 def test_missing_header_rejected(tmp_path):
@@ -53,11 +64,11 @@ def test_consult_fires_on_matching_invocation_only(tmp_path):
     handler = ImpairmentHandler()
     handler.load_plan(write_plan(
         tmp_path,
-        "addParticipant,addParticipantStep,1,FAIL,SimulatedCrash\n",
+        "addParticipant,addParticipantStep,1,FAIL,SimulatedInfraFault\n",
     ))
     first = handler.consult("addParticipant", "addParticipantStep")
     assert first is not None and first.kind == "fail"
-    assert first.error_name == "SimulatedCrash"
+    assert first.error_name == "SimulatedInfraFault"
     assert handler.consult("addParticipant", "addParticipantStep") is None
 
 
@@ -91,9 +102,8 @@ def test_reload_resets_counters_for_identical_reruns(tmp_path):
     handler = ImpairmentHandler()
     handler.load_plan(path)
     first = run(handler)
-    handler.clear()
     handler.load_plan(path)
-    second = run(handler)
+    second = run(handler)[len(first):]
     assert first == second
     assert len(first) == 1
 

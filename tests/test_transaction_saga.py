@@ -1,4 +1,5 @@
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -129,7 +130,7 @@ def test_abort_after_persisted_step_compensates_the_write(saga_sim, tmp_path):
     baseline = sim.store.latest(tournament_id).domain_payload()
     chain_before = len(sim.store.versions(tournament_id))
 
-    from msim.coordination import Step, build_workflow
+    from msim.coordination import Step, Workflow
 
     functionalities = sim.app.functionalities
     uow = sim.transactions.create_unit_of_work()
@@ -160,11 +161,10 @@ def test_abort_after_persisted_step_compensates_the_write(saga_sim, tmp_path):
     def failing_step(u):
         raise SimulatedFault("step two is broken")
 
-    workflow = build_workflow(
-        "twoStepWrite",
+    workflow = Workflow(
+        "twoStepWrite", sim.transactions, uow,
         [Step("persistStep", add_step, compensation=undo_add),
-         Step("failingStep", failing_step, dependencies=["persistStep"])],
-        sim.transactions, uow)
+         Step("failingStep", failing_step)])
     with pytest.raises(SimulatedFault):
         workflow.execute()
 
@@ -205,7 +205,7 @@ def test_retried_abort_runs_each_compensation_once(saga_sim):
     # abort; the retry must finish the unlock without compensating again.
     sim = saga_sim
     _, tournament_id, _, _ = seed_basic(sim)
-    from msim.coordination import Step, build_workflow
+    from msim.coordination import Step, Workflow
 
     ran = []
 
@@ -218,11 +218,10 @@ def test_retried_abort_runs_each_compensation_once(saga_sim):
         raise SimulatedFault("step two is broken")
 
     uow = sim.transactions.create_unit_of_work()
-    workflow = build_workflow(
-        "lockThenFail",
+    workflow = Workflow(
+        "lockThenFail", sim.transactions, uow,
         [Step("lockStep", lock_step, compensation=lambda u: ran.append(1)),
-         Step("failingStep", failing_step, dependencies=["lockStep"])],
-        sim.transactions, uow)
+         Step("failingStep", failing_step)])
     with pytest.raises(SimulatedFault):
         workflow.execute()
 
@@ -364,3 +363,35 @@ def test_semantic_lock_waiters_enter_in_queue_order(saga_sim):
     states = [sim.store.record_at(tournament_id, version).saga_state
               for version in sim.store.versions(tournament_id)[-3:]]
     assert states == [NOT_IN_SAGA, IN_UPDATE_TOURNAMENT, other_state]
+
+
+@pytest.mark.parametrize("clock_mode", ["virtual", "real"])
+def test_no_lock_taken_for_a_unit_of_work_that_ended(make_sim, clock_mode):
+    # A broker handler still waiting for the lock when its caller timed out
+    # must not take the lock once the holder releases it: the caller's unit
+    # of work has aborted and will never release a lock again.
+    sim = make_sim(transaction_model="saga", transport_mode="broker",
+                   broker_response_timeout_s=0.2, saga_lock_wait_ms=1000,
+                   retry_max_attempts=1, clock_mode=clock_mode)
+    execution_id, tournament_id, _, user_ids = seed_basic(sim, students=3)
+    gate = sim.transactions._gate
+    holder, _ = sim.app.functionalities.add_participant(
+        tournament_id, execution_id, user_ids[0])
+    holder.execute_until("addParticipantStep")
+    late, _ = sim.app.functionalities.add_participant(
+        tournament_id, execution_id, user_ids[1])
+    with pytest.raises(ServiceUnavailable):
+        late.execute()
+    assert late.uow.status is UowStatus.ABORTED
+
+    holder.execute()
+    deadline = time.monotonic() + 5
+    while tournament_id in gate._queues:
+        assert time.monotonic() < deadline, "the late handler never left the gate"
+        time.sleep(0.001)
+    assert late.uow.locks == []
+    assert sim.store.latest(tournament_id).saga_state == NOT_IN_SAGA
+    sim.app.add_participant(tournament_id, execution_id, user_ids[2])
+    participants = sim.app.get_tournament(tournament_id)["participants"]
+    assert str(user_ids[2]) in participants
+    assert str(user_ids[1]) not in participants
