@@ -5,6 +5,12 @@ immutable record to the aggregate's version chain, linked to its
 predecessor through ``prev_version``. Working copies carry version 0 until
 a transaction service assigns the commit version.
 
+A chain keeps every version unless its writer says which versions a reader
+can still need: an install given the oldest snapshot still live drops, from
+each chain it touches, every version below the greatest one at or below
+that snapshot, as MVCC garbage collection does. Causal commits pass it;
+saga writes do not, so saga chains keep their full history.
+
 The store keeps all committed state for every simulated service: aggregate
 chains plus per-service domain event logs. Mutations go through
 ``install()``, which builds a fresh state structure and publishes it with a
@@ -166,11 +172,14 @@ class SimulationStore:
 
     # -- writes ---------------------------------------------------------
 
-    def install(self, records=(), events=(), stage_hook=None) -> None:
+    def install(self, records=(), events=(), stage_hook=None, oldest_snapshot=None) -> None:
         """Atomically append committed records and outbox events.
 
         records: iterable of Aggregate (version already assigned, > 0)
         events:  iterable of (service_name, DomainEvent)
+        oldest_snapshot: when given, no reader can ask for a version below
+        it any more, so each touched chain keeps only its greatest version
+        at or below it and every version above.
         """
         hook = stage_hook or (lambda stage: None)
         with self._lock:
@@ -194,6 +203,10 @@ class SimulationStore:
                             f"duplicate version {rec.version} for aggregate {rec.aggregate_id}"
                         )
                 chain.insert(at, rec)
+                if oldest_snapshot is not None:
+                    oldest_readable = bisect_right(chain, oldest_snapshot, key=_by_version) - 1
+                    if oldest_readable > 0:
+                        del chain[:oldest_readable]
                 new_records[rec.aggregate_id] = chain
                 hook(f"install:record:{i}")
             for i, (service, event) in enumerate(events):

@@ -69,6 +69,10 @@ class NotificationService:
         self.delivery_latency_ms = delivery_latency_ms
         self._subscribed_types: dict[str, set[str]] = {}
         self.event_ids = EventIdGenerator()
+        # log key -> (the log tuple indexed, its index). The store replaces
+        # a log's tuple on every change, so the tuple's identity tells
+        # whether the index is current.
+        self._log_indexes: dict[str, tuple] = {}
 
     def declare_subscription(self, service: str, event_type: str) -> None:
         self._subscribed_types.setdefault(service, set()).add(event_type)
@@ -107,49 +111,53 @@ class NotificationService:
 
     # -- subscription queries ----------------------------------------------
 
+    def _log_index(self, log_key: str) -> dict:
+        """Published events of one log by (event_type, publisher), built once
+        per log version: each entry is (events in log order, {payload key:
+        {value: events}}), the payload part filled per key on first use."""
+        log = self._store.events_of(log_key)
+        cached = self._log_indexes.get(log_key)
+        if cached is not None and cached[0] is log:
+            return cached[1]
+        index: dict[tuple, tuple] = {}
+        for event in log:
+            if event.published:
+                key = (event.event_type, event.publisher_aggregate_id)
+                if key not in index:
+                    index[key] = ([], {})
+                index[key][0].append(event)
+        self._log_indexes[log_key] = (log, index)
+        return index
+
     def get_subscribed_events(self, service: str, subscriptions) -> list[DomainEvent]:
         """Events visible to `service` matching any subscription, oldest first.
 
-        Subscriptions are indexed by (event_type, sender) and then by their
-        payload requirement, keeping the lowest watermark of each, so every
-        event costs a few dict lookups however many subscriptions there are.
+        Each subscription looks up the events of its (event_type, sender),
+        narrowed by its payload requirement, in an index of the log, so a
+        query costs what its subscriptions match, not the log's length.
         """
-        # (event_type, sender) -> (lowest watermark without a payload
-        # requirement or None, {payload key: {value: lowest watermark}})
-        index: dict[tuple, tuple] = {}
-        for sub in subscriptions:
-            unrestricted, by_key = index.get(
-                (sub.event_type, sub.sender_aggregate_id), (None, {}))
-            watermark = sub.sender_last_version
-            if sub.payload_match is None:
-                if unrestricted is None or watermark < unrestricted:
-                    unrestricted = watermark
-            else:
-                key, value = sub.payload_match
-                by_value = by_key.setdefault(key, {})
-                if value not in by_value or watermark < by_value[value]:
-                    by_value[value] = watermark
-            index[(sub.event_type, sub.sender_aggregate_id)] = (unrestricted, by_key)
-
+        index = self._log_index(self.log_key(service))
         matched: dict[int, DomainEvent] = {}
-        for event in self._store.events_of(self.log_key(service)):
-            if not event.published:
-                continue
-            entry = index.get((event.event_type, event.publisher_aggregate_id))
+        for sub in subscriptions:
+            entry = index.get((sub.event_type, sub.sender_aggregate_id))
             if entry is None:
                 continue
-            unrestricted, by_key = entry
-            version = event.publisher_version
-            if unrestricted is not None and version > unrestricted:
-                matched.setdefault(event.event_id, event)
-                continue
-            for key, by_value in by_key.items():
-                if key not in event.payload:
-                    continue
-                watermark = by_value.get(event.payload[key])
-                if watermark is not None and version > watermark:
-                    matched.setdefault(event.event_id, event)
-                    break
+            events, by_key = entry
+            if sub.payload_match is not None:
+                key, value = sub.payload_match
+                by_value = by_key.get(key)
+                if by_value is None:
+                    # Built whole before it is published: another thread
+                    # querying the same log sees it complete or not at all.
+                    by_value = {}
+                    for event in events:
+                        if key in event.payload:
+                            by_value.setdefault(event.payload[key], []).append(event)
+                    by_key[key] = by_value
+                events = by_value.get(value, ())
+            for event in events:
+                if event.publisher_version > sub.sender_last_version:
+                    matched[event.event_id] = event
         return sorted(matched.values(), key=lambda e: (e.publisher_version, e.event_id))
 
 

@@ -232,7 +232,8 @@ def _merge_scalars(local, committed, ancestor, *names):
 
 def _merge_member(local: MemberRef, committed: MemberRef, ancestor: MemberRef | None):
     """Per-field member merge. Watermarks take the maximum; names resolve
-    three-way, with anonymization absorbing (privacy must stick)."""
+    three-way, with anonymization absorbing (privacy must stick). A result
+    equal to one side is that side's object, so versions keep sharing it."""
     if local.user_id != committed.user_id:
         raise MergeConflictUnresolvable("member identity diverged")
     if ANONYMOUS_TOKEN in (local.name, committed.name):
@@ -241,29 +242,36 @@ def _merge_member(local: MemberRef, committed: MemberRef, ancestor: MemberRef | 
         name = _merge_scalar(
             "member name", local.name, committed.name,
             ancestor.name if ancestor else None)
-    return MemberRef(
+    merged = MemberRef(
         user_id=local.user_id,
         name=name,
         exec_version=max(local.exec_version, committed.exec_version),
         user_version=max(local.user_version, committed.user_version),
     )
+    if merged == local:
+        return local
+    return committed if merged == committed else merged
 
 
 def _merge_members(local: dict, committed: dict, ancestor: dict) -> dict:
     """Set-style merge: union of both sides' additions minus both sides'
-    removals relative to the ancestor; common members merge per field."""
+    removals relative to the ancestor; common members merge per field.
+
+    A member both sides share by identity is unchanged on both, so it is
+    kept as is: a merge costs a lookup per member plus a field merge per
+    member that either side replaced.
+    """
     merged: dict[int, MemberRef] = {}
-    for user_id in set(local) | set(committed):
-        in_local, in_committed, in_ancestor = (
-            user_id in local, user_id in committed, user_id in ancestor)
-        if in_local and in_committed:
-            merged[user_id] = _merge_member(
-                local[user_id], committed[user_id], ancestor.get(user_id))
-        elif in_local:
-            if not in_ancestor:  # added locally
-                merged[user_id] = local[user_id]
-            # else: removed by the committed side; stays removed
-        else:
-            if not in_ancestor:  # added concurrently
-                merged[user_id] = committed[user_id]
+    for user_id, mine in local.items():
+        theirs = committed.get(user_id)
+        if theirs is mine:
+            merged[user_id] = mine
+        elif theirs is not None:
+            merged[user_id] = _merge_member(mine, theirs, ancestor.get(user_id))
+        elif user_id not in ancestor:  # added locally
+            merged[user_id] = mine
+        # else: removed by the committed side; stays removed
+    for user_id, theirs in committed.items():
+        if user_id not in local and user_id not in ancestor:  # added concurrently
+            merged[user_id] = theirs
     return merged

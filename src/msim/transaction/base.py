@@ -48,13 +48,17 @@ class UnitOfWork:
     events: list = field(default_factory=list)
     # saga state
     locks: list = field(default_factory=list)  # LockRecord, acquisition order
-    # Set, under the lock gate, once abort starts releasing locks.
-    locks_closed: bool = False
+    # Set, under step_lock, once abort begins: the unit of work then takes
+    # no new lock, and a step it left open installs nothing.
+    aborting: bool = False
+    # Held across a saga write's check that its step is still open and its
+    # install, and while abort begins, so no step installs once abort has.
+    step_lock: threading.Lock = field(default_factory=threading.Lock)
     compensations: list = field(default_factory=list)  # (label, callable)
     # causal state
     read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record read
-    # saga step buffers: a stack of ([records], [events]) frames, since
-    # handler scopes may nest through compensations
+    # saga step buffers: the open StepFrame of each running handler, in
+    # opening order, since handler scopes may nest
     step_frames: list = field(default_factory=list)
 
 
@@ -126,12 +130,18 @@ class UnitOfWorkService:
 
     # -- registry ---------------------------------------------------------
 
-    def _new_uow(self, **kwargs) -> UnitOfWork:
+    def create_unit_of_work(self) -> UnitOfWork:
         with self._registry_lock:
             self._uow_counter += 1
-            uow = UnitOfWork(uow_id=self._uow_counter, **kwargs)
+            uow = UnitOfWork(uow_id=self._uow_counter,
+                             snapshot_version=self._snapshot_version())
             self._registry[uow.uow_id] = uow
             return uow
+
+    def _snapshot_version(self) -> int:
+        """Snapshot of a new unit of work, read under the registry lock; 0
+        when the model reads the latest committed versions."""
+        return 0
 
     def lookup(self, uow_id: int) -> UnitOfWork:
         with self._registry_lock:
@@ -145,9 +155,6 @@ class UnitOfWorkService:
             self.commit_stage_hook(stage)
 
     # -- contract -----------------------------------------------------------
-
-    def create_unit_of_work(self) -> UnitOfWork:
-        raise NotImplementedError
 
     def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
         raise NotImplementedError

@@ -19,11 +19,16 @@ Commit is serialized: one committer at a time reserves the next version
 number, merges each staged aggregate against any version committed after
 the snapshot (three-way, via the aggregate's merge_fields), re-verifies
 invariants, and installs all staged versions plus their outbox events in a
-single atomic batch, giving the transaction atomic visibility. Entry into
-the commit section is FIFO and bounded, through the FifoGate shared with
-the saga semantic locks: a committer that cannot acquire it in time fails
-with a retryable conflict, modeling the optimistic-concurrency aborts a
-real store would produce under contention. A merge the domain declares
+single atomic batch, giving the transaction atomic visibility. That install
+also compacts each chain it touches: versions below the greatest one at or
+below the oldest snapshot of any live unit of work (the committer's
+included) can never be read again, so they are dropped, as MVCC garbage
+collection does; a unit of work takes its snapshot under the registry lock
+that this minimum is computed under. Entry into the commit section is FIFO
+and bounded, through the FifoGate shared with the saga semantic locks: a
+committer that cannot acquire it in time fails with a retryable conflict,
+modeling the optimistic-concurrency aborts a real store would produce
+under contention. A merge the domain declares
 unresolvable, or an invariant broken after merge, converts the commit into
 an abort and returns the reserved version number.
 
@@ -81,10 +86,20 @@ class CausalUnitOfWorkService(UnitOfWorkService):
 
     # -- lifecycle -------------------------------------------------------
 
-    def create_unit_of_work(self) -> UnitOfWork:
+    def _snapshot_version(self) -> int:
         # The horizon, not the counter: the counter may already name a
         # version still being installed, and it is never below the horizon.
-        return self._new_uow(snapshot_version=self._horizon)
+        # Read under the registry lock, so a commit that computes the oldest
+        # live snapshot either sees this unit of work or runs before it reads
+        # a horizon at or above that snapshot.
+        return self._horizon
+
+    def _oldest_live_snapshot(self) -> int:
+        """Smallest snapshot of a live unit of work, the committer's included:
+        no load can ask for a version below the chain's greatest one at or
+        below it."""
+        with self._registry_lock:
+            return min(uow.snapshot_version for uow in self._registry.values())
 
     def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
         """Working copy consistent with the causal snapshot; repeatable."""
@@ -164,7 +179,8 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                 if self.commit_store_ms > 0:
                     self._clock.sleep_ms(self.commit_store_ms)
                 self._store.install(
-                    records=final_records, events=outbox, stage_hook=self._hook
+                    records=final_records, events=outbox, stage_hook=self._hook,
+                    oldest_snapshot=self._oldest_live_snapshot(),
                 )
                 self._horizon = max(self._horizon, commit_version)
                 uow.status = UowStatus.COMMITTED

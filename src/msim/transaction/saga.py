@@ -10,18 +10,47 @@ and a command whose envelope forbids the current state is rejected with a
 retryable conflict, queuing conflicting functionalities behind the gateway
 backoff. The wait for a forbidden state to clear is bounded and FIFO per
 aggregate: it goes through the FifoGate shared with the causal commit
-section. Commit releases the locks; abort first runs the registered
-compensations in reverse order, each writing a new committed version that
-restores the pre-saga domain state.
+section. Commit releases the locks. Abort first discards every step still
+open, so a handler that outlived its caller installs nothing, then runs
+the registered compensations in reverse order, each writing a new
+committed version that restores the pre-saga domain state.
 """
 
 from __future__ import annotations
+
+import threading
+from dataclasses import dataclass, field
 
 from ..aggregate import NOT_IN_SAGA
 from ..context import ambient
 from ..errors import AggregateDeleted, SemanticLockConflict, SimulatorError
 from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope, inner_command
 from .base import FifoGate, LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
+
+
+@dataclass(eq=False)
+class StepFrame:
+    """The buffered writes of one handler invocation, on the thread running it."""
+
+    thread: int = field(default_factory=threading.get_ident)
+    records: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+
+
+def _open_frame(uow: UnitOfWork) -> StepFrame | None:
+    """The calling thread's innermost open step frame of uow, if any."""
+    thread = threading.get_ident()
+    for frame in reversed(uow.step_frames):
+        if frame.thread == thread:
+            return frame
+    return None
+
+
+def _drop_writes(uow: UnitOfWork, frame: StepFrame) -> None:
+    for record in frame.records:
+        uow.changed.pop(record.aggregate_id, None)
+    for event in frame.events:
+        uow.events.remove(event)
 
 
 class SagaUnitOfWorkService(UnitOfWorkService):
@@ -32,9 +61,6 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     # -- lifecycle -------------------------------------------------------
 
-    def create_unit_of_work(self) -> UnitOfWork:
-        return self._new_uow(snapshot_version=0)
-
     def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
         return self._store.latest_committed(aggregate_id).copy_for_write()
 
@@ -43,10 +69,7 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         working_copy.verify_invariants()
         working_copy.version = self._versioning.increment_and_get_version_number()
         uow.changed[working_copy.aggregate_id] = working_copy
-        if uow.step_frames:
-            uow.step_frames[-1][0].append(working_copy)
-        else:
-            self._store.install(records=[working_copy], stage_hook=self._hook)
+        self._persist(uow, records=[working_copy])
 
     def register_event(self, uow: UnitOfWork, event) -> None:
         publisher = uow.changed.get(event.publisher_aggregate_id)
@@ -56,30 +79,52 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             )
         event = event.with_publisher_version(publisher.version)
         uow.events.append(event)
-        if uow.step_frames:
-            uow.step_frames[-1][1].append(event)
-        else:
-            self._store.install(
-                events=self._outbox_entries(uow, [event]), stage_hook=self._hook
-            )
+        self._persist(uow, events=[event])
+
+    def _persist(self, uow: UnitOfWork, records=(), events=()) -> None:
+        """Buffer a write in the calling handler's step frame, or install it
+        at once outside any handler. A handler whose frame the abort
+        discarded also finds none, so an aborting unit of work refuses it:
+        that write would land after its caller gave up."""
+        frame = _open_frame(uow)
+        if frame is not None:
+            frame.records.extend(records)
+            frame.events.extend(events)
+            return
+        with uow.step_lock:
+            if uow.aborting:
+                raise SimulatorError(f"unit of work {uow.uow_id} is aborting; write refused")
+            self._store.install(records=records, events=self._outbox_entries(uow, events),
+                                stage_hook=self._hook)
 
     # -- step frames: the local transaction of one service invocation ------
 
-    def flush_step(self, uow: UnitOfWork) -> None:
-        records, events = uow.step_frames.pop()
-        if records or events:
-            self._store.install(
-                records=records,
-                events=self._outbox_entries(uow, events),
-                stage_hook=self._hook,
-            )
+    def open_step(self, uow: UnitOfWork) -> StepFrame:
+        frame = StepFrame()
+        uow.step_frames.append(frame)
+        return frame
 
-    def discard_step(self, uow: UnitOfWork) -> None:
-        records, events = uow.step_frames.pop()
-        for record in records:
-            uow.changed.pop(record.aggregate_id, None)
-        for event in events:
-            uow.events.remove(event)
+    def flush_step(self, uow: UnitOfWork, frame: StepFrame) -> None:
+        """Install the frame's writes, unless abort discarded the frame."""
+        with uow.step_lock:
+            if frame not in uow.step_frames:
+                raise SimulatorError(
+                    f"unit of work {uow.uow_id} aborted while the step ran; step discarded")
+            uow.step_frames.remove(frame)
+            if frame.records or frame.events:
+                self._store.install(
+                    records=frame.records,
+                    events=self._outbox_entries(uow, frame.events),
+                    stage_hook=self._hook,
+                )
+
+    def discard_step(self, uow: UnitOfWork, frame: StepFrame) -> None:
+        """Drop the frame's writes; a no-op once abort discarded the frame."""
+        with uow.step_lock:
+            if frame not in uow.step_frames:
+                return
+            uow.step_frames.remove(frame)
+        _drop_writes(uow, frame)
 
     # -- semantic locks ------------------------------------------------------
 
@@ -97,15 +142,14 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         forbidden state to clear (woken by unlock writes) before surfacing
         SemanticLockConflict; the conflict is infrastructure-classified so
         the gateway queues the caller with backoff. A unit of work whose
-        abort has begun releasing its locks takes no new one: a handler
-        still waiting when its caller gave up must not lock the aggregate
-        for good.
+        abort has begun takes no new lock: a handler still waiting when
+        its caller gave up must not lock the aggregate for good.
         """
         if any(lock.aggregate_id == aggregate_id for lock in uow.locks):
             return  # re-entrant: this saga already holds the lock
 
         def try_acquire():
-            if uow.locks_closed:
+            if uow.aborting:
                 raise SimulatorError(f"unit of work {uow.uow_id} takes no new locks")
             latest = self._store.latest_committed(aggregate_id)
             if latest.saga_state in forbidden_states:
@@ -152,8 +196,8 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         """
         if uow.status is UowStatus.COMMITTED:
             return
-        while uow.step_frames:
-            self.flush_step(uow)
+        for frame in list(uow.step_frames):
+            self.flush_step(uow, frame)
         while uow.locks:
             self._write_saga_state(uow.locks[-1].aggregate_id, NOT_IN_SAGA)
             uow.locks.pop()
@@ -161,17 +205,34 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         uow.status = UowStatus.COMMITTED
 
     def _do_abort(self, uow: UnitOfWork) -> None:
-        """Run compensations in reverse registration order, then unlock.
+        """Discard open steps, run compensations in reverse registration
+        order, then unlock.
 
-        A failing compensation is recorded and the remaining ones still run,
+        Abort first marks the unit of work aborting: a step still open, whose
+        handler outlived its caller, then installs nothing, and no new lock
+        is taken; the compensations' own steps open later and install. A
+        failing compensation is recorded and the remaining ones still run,
         maximizing the amount of restored state. Compensations and released
         locks are taken off the unit of work as they run, so an abort retried
         after a failed unlock write only finishes the remaining unlocks.
         """
         if uow.status is not UowStatus.ACTIVE:
             return
-        while uow.step_frames:
-            self.discard_step(uow)
+        with uow.step_lock:
+            uow.aborting = True
+            discarded = list(uow.step_frames)
+            uow.step_frames.clear()
+        for frame in discarded:
+            _drop_writes(uow, frame)
+        # A lock request that read aborting before it was set holds the
+        # gate's lock until its lock is on uow.locks, so passing through the
+        # gate waits it out before the drain below reads uow.locks; later
+        # requests, the waiters woken here included, are refused. A commit
+        # needs no such step: it follows only steps whose commands all
+        # returned, so no lock request of uow is in flight, and it keeps
+        # read-only commits off the gate.
+        with self._gate.changed():
+            pass
         compensations, uow.compensations = uow.compensations, []
         for label, action in reversed(compensations):
             span_id = None
@@ -186,13 +247,6 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             finally:
                 if span_id is not None:
                     self._recorder.end_span(span_id)
-        # Under the gate's lock, so a lock taken by a handler whose caller
-        # gave up is either refused or already on uow.locks for the drain
-        # below. A commit needs no such step: it follows only steps whose
-        # commands all returned, so no lock request of uow is in flight,
-        # and it keeps read-only commits off the gate.
-        with self._gate.changed():
-            uow.locks_closed = True
         while uow.locks:
             lock = uow.locks[-1]
             self._write_saga_state(lock.aggregate_id, lock.previous_saga_state)
@@ -218,18 +272,20 @@ class SagaCommandDecorator(CommandHandlerDecorator):
     def handle(self, message, proceed):
         command = inner_command(message)
         uow = self._service.lookup(command.unit_of_work_ref)
-        if isinstance(message, SagaCommandEnvelope):
-            self._service.acquire_semantic_lock(
-                uow,
-                command.target_aggregate_id,
-                message.forbidden_states,
-                message.acquire_state,
-            )
-        uow.step_frames.append(([], []))
+        # Opened before the lock wait, so an abort that begins while this
+        # handler runs always finds and discards its frame.
+        frame = self._service.open_step(uow)
         try:
+            if isinstance(message, SagaCommandEnvelope):
+                self._service.acquire_semantic_lock(
+                    uow,
+                    command.target_aggregate_id,
+                    message.forbidden_states,
+                    message.acquire_state,
+                )
             result = proceed(command)
         except BaseException:
-            self._service.discard_step(uow)
+            self._service.discard_step(uow, frame)
             raise
-        self._service.flush_step(uow)
+        self._service.flush_step(uow, frame)
         return result

@@ -121,6 +121,22 @@ def test_record_at_or_below():
     assert store.record_at_or_below(1, 3) is None
 
 
+@pytest.mark.parametrize("oldest_snapshot, kept", [
+    (None, [4, 9, 12, 15]),  # no snapshot given: the whole chain stays
+    (3, [4, 9, 12, 15]),     # nothing at or below the snapshot to keep
+    (4, [4, 9, 12, 15]),
+    (11, [9, 12, 15]),       # 9 still serves snapshots 9..11
+    (12, [12, 15]),
+    (20, [15]),
+])
+def test_install_compacts_below_the_oldest_snapshot(oldest_snapshot, kept):
+    store = SimulationStore()
+    for v in (4, 9, 12):
+        store.install(records=[make_tournament(version=v)])
+    store.install(records=[make_tournament(version=15)], oldest_snapshot=oldest_snapshot)
+    assert store.versions(1) == kept
+
+
 @given(
     versions=st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True),
     probe=st.integers(0, 65),

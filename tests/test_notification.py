@@ -213,30 +213,48 @@ _subscriptions = st.lists(
 )
 
 
-@given(events=_events, subscriptions=_subscriptions)
+@given(events=_events, later=_events, to_publish=st.sets(st.integers(1, 50)),
+       subscriptions=_subscriptions)
 @example(  # the lowest of several watermarks on one (type, sender) decides
     events=[("A", 1, 3, {}, True), ("A", 2, 3, {"user": 2}, True)],
+    later=[], to_publish=set(),
     subscriptions=[EventSubscription("A", 1, 4), EventSubscription("A", 1, 1),
                    EventSubscription("A", 2, 5, ("user", 2)),
                    EventSubscription("A", 2, 2, ("user", 2))],
 )
-def test_indexed_matching_equals_brute_force_filter(events, subscriptions):
+def test_indexed_matching_equals_brute_force_filter(events, later, to_publish,
+                                                     subscriptions):
     # Oracle: every published event that any subscription's own matches()
     # accepts, ordered by publisher version. Watermarks and versions share a
-    # small range, so events land on, below and above each watermark.
+    # small range, so events land on, below and above each watermark. One
+    # service answers queries as the log grows and as events are published,
+    # so an index kept from an earlier log version would show.
     store = SimulationStore()
-    log = [
-        DomainEvent(event_id=i, event_type=event_type, publisher_aggregate_id=sender,
-                    publisher_version=version, payload=payload, published=published)
-        for i, (event_type, sender, version, payload, published) in enumerate(events, 1)
-    ]
-    store.install(events=[(SHARED_LOG, e) for e in log])
     notification = NotificationService(store, VirtualClock())
-    expected = sorted(
-        (e for e in log if e.published and any(s.matches(e) for s in subscriptions)),
-        key=lambda e: (e.publisher_version, e.event_id),
-    )
-    assert notification.get_subscribed_events("tournament", subscriptions) == expected
+
+    def check():
+        log = store.events_of(SHARED_LOG)
+        for subs in (subscriptions, *([sub] for sub in subscriptions)):
+            expected = sorted(
+                (e for e in log if e.published and any(s.matches(e) for s in subs)),
+                key=lambda e: (e.publisher_version, e.event_id),
+            )
+            assert notification.get_subscribed_events("tournament", subs) == expected
+
+    check()
+    first_id = 1
+    for batch in (events, later):
+        log = [
+            DomainEvent(event_id=i, event_type=event_type, publisher_aggregate_id=sender,
+                        publisher_version=version, payload=payload, published=published)
+            for i, (event_type, sender, version, payload, published)
+            in enumerate(batch, first_id)
+        ]
+        first_id += len(batch)
+        store.install(events=[(SHARED_LOG, e) for e in log])
+        check()
+    store.publish_batch(SHARED_LOG, to_publish, [])
+    check()
 
 
 def test_empty_subscription_list(saga_sim):

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from msim.aggregate import LifecycleState
 from msim.errors import (
@@ -10,11 +12,13 @@ from msim.errors import (
 )
 from msim.sampleapp.domain import (
     ANONYMOUS_TOKEN,
+    CourseExecution,
     MemberRef,
     NotAStudent,
     StudentNotEnrolled,
     Tournament,
     TournamentFull,
+    _merge_members,
 )
 from tests.conftest import seed_basic
 
@@ -117,6 +121,136 @@ def test_merge_anonymous_name_is_absorbing():
     )
     merged = staged.merge_fields(committed, ancestor)
     assert merged.creator.name == ANONYMOUS_TOKEN
+
+
+# The member merge as it was before it kept members shared by identity:
+# every common member is rebuilt field by field. The reference for the
+# property test below.
+
+
+def reference_merge_member(local, committed, ancestor):
+    if local.user_id != committed.user_id:
+        raise MergeConflictUnresolvable("member identity diverged")
+    if ANONYMOUS_TOKEN in (local.name, committed.name):
+        name = ANONYMOUS_TOKEN
+    else:
+        ancestor_name = ancestor.name if ancestor else None
+        if local.name == committed.name:
+            name = local.name
+        elif local.name != ancestor_name and committed.name != ancestor_name:
+            raise MergeConflictUnresolvable("both sides changed member name")
+        else:
+            name = local.name if local.name != ancestor_name else committed.name
+    return MemberRef(
+        user_id=local.user_id,
+        name=name,
+        exec_version=max(local.exec_version, committed.exec_version),
+        user_version=max(local.user_version, committed.user_version),
+    )
+
+
+def reference_merge_members(local, committed, ancestor):
+    merged = {}
+    for user_id in set(local) | set(committed):
+        in_local, in_committed, in_ancestor = (
+            user_id in local, user_id in committed, user_id in ancestor)
+        if in_local and in_committed:
+            merged[user_id] = reference_merge_member(
+                local[user_id], committed[user_id], ancestor.get(user_id))
+        elif in_local:
+            if not in_ancestor:
+                merged[user_id] = local[user_id]
+        else:
+            if not in_ancestor:
+                merged[user_id] = committed[user_id]
+    return merged
+
+
+_ANCESTOR_IDS = range(1, 7)
+# What one side does to an ancestor member: keep the shared object, rename,
+# anonymize, raise or lower a watermark, remove it, or replace it with an
+# equal but distinct object.
+_member_edits = st.sampled_from(
+    ["keep", "rename", "anonymize", "raise", "lower", "remove", "copy"])
+
+
+def _apply(edit, member, side):
+    if edit == "keep":
+        return member
+    if edit == "rename":
+        return replace(member, name=f"{member.name}-{side}")
+    if edit == "anonymize":
+        return replace(member, name=ANONYMOUS_TOKEN)
+    if edit == "raise":
+        return replace(member, exec_version=member.exec_version + 2,
+                       user_version=member.user_version + 1)
+    if edit == "lower":
+        return replace(member, exec_version=max(0, member.exec_version - 2))
+    if edit == "copy":
+        return replace(member)
+    return None  # remove
+
+
+@st.composite
+def _merge_inputs(draw):
+    ancestor = {
+        user_id: MemberRef(user_id, draw(st.sampled_from(["a", "b", ANONYMOUS_TOKEN])),
+                           exec_version=draw(st.integers(0, 4)),
+                           user_version=draw(st.integers(0, 4)))
+        for user_id in _ANCESTOR_IDS if draw(st.booleans())
+    }
+    sides = []
+    for side in ("local", "committed"):
+        members = {}
+        for user_id, member in ancestor.items():
+            edited = _apply(draw(_member_edits), member, side)
+            if edited is not None:
+                members[user_id] = edited
+        for user_id in draw(st.sets(st.integers(7, 9), max_size=2)):
+            members[user_id] = MemberRef(user_id, f"new-{side}")
+        sides.append(members)
+    local, committed = sides
+    # Sometimes one object added on both sides, as a replayed addition is.
+    if draw(st.booleans()):
+        shared = MemberRef(10, "shared")
+        local[10] = committed[10] = shared
+    return local, committed, ancestor
+
+
+@given(_merge_inputs())
+def test_member_merge_equals_reference_and_reuses_equal_sides(inputs):
+    local, committed, ancestor = inputs
+    try:
+        expected = reference_merge_members(local, committed, ancestor)
+    except MergeConflictUnresolvable:
+        with pytest.raises(MergeConflictUnresolvable):
+            _merge_members(local, committed, ancestor)
+        return
+    merged = _merge_members(local, committed, ancestor)
+    assert merged == expected
+    for user_id, member in merged.items():
+        if member == local.get(user_id):
+            assert member is local[user_id]
+        elif member == committed.get(user_id):
+            assert member is committed[user_id]
+
+
+def test_merged_execution_shares_every_member_neither_side_changed():
+    ancestor = CourseExecution(1, "SE-101")
+    for user_id in range(1, 51):
+        ancestor.students[user_id] = MemberRef(user_id, f"student-{user_id}")
+    ancestor.version = 3
+    committed = ancestor.copy_for_write()
+    committed.students[1] = replace(committed.students[1], name="renamed-1",
+                                    exec_version=4)
+    committed.version = 4
+    staged = ancestor.copy_for_write()
+    staged.students[2] = replace(staged.students[2], name="renamed-2")
+    merged = staged.merge_fields(committed, ancestor)
+    assert merged.students[1] is committed.students[1]
+    assert merged.students[2] is staged.students[2]
+    for user_id in range(3, 51):
+        assert merged.students[user_id] is ancestor.students[user_id]
 
 
 # -- functionalities ----------------------------------------------------------------

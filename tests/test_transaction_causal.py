@@ -1,3 +1,4 @@
+import sys
 import threading
 from dataclasses import replace
 
@@ -427,6 +428,82 @@ def test_no_lost_updates_under_concurrency(causal_sim):
         t.join()
     assert errors == []
     assert len(sim.store.latest(tournament_id).participants) == 8
+
+
+# -- chain compaction ----------------------------------------------------------------
+
+
+def test_live_old_snapshot_still_loads_after_many_commits(causal_sim):
+    sim = causal_sim
+    execution_id, _, _, user_ids = seed_basic(sim)
+    old = sim.transactions.create_unit_of_work()
+    expected = sim.store.latest(execution_id).version
+    for i in range(50):
+        sim.app.update_student_name(execution_id, user_ids[0], f"name-{i}")
+    loaded = sim.transactions.aggregate_load(old, execution_id)
+    assert loaded.prev_version == expected
+    assert loaded.students[user_ids[0]].name == "student-0"
+    sim.transactions.commit(old)
+    # Once the old snapshot is gone, the next commit drops what only it read.
+    sim.app.update_student_name(execution_id, user_ids[0], "last")
+    assert expected not in sim.store.versions(execution_id)
+
+
+def test_chain_stays_bounded_without_old_units_of_work(causal_sim):
+    sim = causal_sim
+    execution_id, _, _, user_ids = seed_basic(sim)
+    for i in range(50):
+        sim.app.update_student_name(execution_id, user_ids[i % 2], f"name-{i}")
+        assert len(sim.store.versions(execution_id)) <= 2
+    assert sim.store.latest(execution_id).students[user_ids[1]].name == "name-49"
+
+
+def test_units_of_work_created_during_commits_always_load(causal_sim):
+    # Readers take snapshots while writers commit and compact; each must
+    # still find the version at or below its snapshot.
+    sim = causal_sim
+    execution_id, tournament_id, _, user_ids = seed_basic(sim, students=4)
+    stop = threading.Event()
+    errors = []
+
+    def write():
+        i = 0
+        while not stop.is_set():
+            sim.app.update_student_name(execution_id, user_ids[i % 4], f"w-{i}")
+            i += 1
+
+    def read():
+        while not stop.is_set():
+            uow = sim.transactions.create_unit_of_work()
+            for aggregate_id in (execution_id, tournament_id):
+                record = sim.transactions.aggregate_load(uow, aggregate_id)
+                assert record.prev_version <= uow.snapshot_version
+            sim.transactions.commit(uow)
+
+    def run(body, *args):
+        try:
+            body(*args)
+        except Exception as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=run, args=(write,))]
+    threads += [threading.Thread(target=run, args=(read,)) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(1.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    sim.app.update_student_name(execution_id, user_ids[0], "last")
+    assert len(sim.store.versions(execution_id)) <= 2
 
 
 def test_causal_requires_centralized_versioning():

@@ -14,6 +14,7 @@ from msim.errors import (
 )
 from msim.messaging import Command, SagaCommandEnvelope
 from msim.sampleapp.domain import IN_UPDATE_TOURNAMENT
+from msim.sampleapp.services import TournamentService
 from msim.transaction.base import UowStatus
 from tests.conftest import queue_waiter, seed_basic
 
@@ -395,3 +396,43 @@ def test_no_lock_taken_for_a_unit_of_work_that_ended(make_sim, clock_mode):
     participants = sim.app.get_tournament(tournament_id)["participants"]
     assert str(user_ids[2]) in participants
     assert str(user_ids[1]) not in participants
+
+
+def test_no_step_installs_after_its_unit_of_work_aborted(make_sim, monkeypatch):
+    # A broker handler still running when its caller timed out must not
+    # install its step once the workflow has aborted: no compensation would
+    # ever undo that write.
+    sim = make_sim(transaction_model="saga", transport_mode="broker",
+                   broker_delivery_ms=1.0, broker_poll_ms=1.0,
+                   broker_response_timeout_s=0.2, retry_max_attempts=1)
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    original = TournamentService._ops["AddParticipant"]
+    finished = threading.Event()
+
+    def slow_add(self, uow, payload):
+        try:
+            time.sleep(0.4)
+            return original(self, uow, payload)
+        finally:
+            finished.set()
+
+    monkeypatch.setitem(TournamentService._ops, "AddParticipant", slow_add)
+    with pytest.raises(ServiceUnavailable):
+        sim.app.add_participant(tournament_id, execution_id, user_ids[0])
+    versions_after_abort = sim.store.versions(tournament_id)
+    assert finished.wait(5)
+    time.sleep(0.05)  # let the handler's step end after its body returned
+    assert sim.store.versions(tournament_id) == versions_after_abort
+    latest = sim.store.latest(tournament_id)
+    assert user_ids[0] not in latest.participants
+    assert latest.saga_state == NOT_IN_SAGA
+
+
+def test_saga_chains_are_never_compacted(saga_sim):
+    sim = saga_sim
+    execution_id, _, _, user_ids = seed_basic(sim)
+    versions = sim.store.versions(execution_id)
+    for i in range(20):
+        sim.app.update_student_name(execution_id, user_ids[0], f"name-{i}")
+    assert sim.store.versions(execution_id)[:len(versions)] == versions
+    assert len(sim.store.versions(execution_id)) == len(versions) + 20
