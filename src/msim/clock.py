@@ -27,10 +27,12 @@ class RealClock(Clock):
 
 
 class VirtualClock(Clock):
-    """Deterministic clock. ``sleep_ms`` advances time instead of blocking.
+    """Virtual time: ``sleep_ms`` advances one shared counter instead of blocking.
 
-    Only suitable where latency is measured, not where real pacing matters;
-    sleeps yield briefly so spinning background threads stay civil.
+    Sleeps are instant, but concurrent sleeps add up instead of overlapping
+    and threads still interleave on the real scheduler, so two runs are not
+    reproducible. A positive sleep yields briefly so spinning background
+    threads stay civil; a sleep of zero or less does nothing.
     """
 
     def __init__(self, start_ns: int = 0):
@@ -48,4 +50,4 @@ class VirtualClock(Clock):
     def sleep_ms(self, ms: float) -> None:
         if ms > 0:
             self.advance_ms(ms)
-        time.sleep(0.00005)
+            time.sleep(0.00005)

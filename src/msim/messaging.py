@@ -4,10 +4,11 @@ Downstream-to-upstream invocations travel as Command objects through a
 single gateway interface. The transport behind it is configuration:
 
 * local            -- direct call on the caller's thread, no serialization.
-* local-serialized -- direct call, but commands and responses are forced
-  through the canonical byte encoding so payload problems surface locally.
 * rpc              -- serialized, with a one-way latency applied to request
   and response.
+* local-serialized -- rpc at zero latency: a direct call, but commands and
+  responses are forced through the canonical byte encoding so payload
+  problems surface locally.
 * broker           -- serialized, queued per service, taken by event-driven
   consumers that run one service's handlers concurrently, response routed
   back by correlation id. Poll ticks and delivery latency are waited out
@@ -45,8 +46,43 @@ from .errors import (
 TRANSACTION_SERVICE = "transaction"
 
 
+class WireMessage:
+    """One codec for every message: its fields, after the class's ``kind`` tag.
+
+    The nested ``inner`` message is encoded in place, ``trace_parent``
+    travels as a list, and a tagged dict decodes as the class its kind names.
+    """
+
+    kind: str | None = None
+
+    def to_wire(self) -> dict:
+        kind = self.kind
+        data = {"kind": kind, **vars(self)} if kind else vars(self).copy()
+        if "inner" in data:
+            data["inner"] = data["inner"].to_wire()
+        if data.get("trace_parent"):
+            data["trace_parent"] = list(data["trace_parent"])
+        return data
+
+    @classmethod
+    def from_wire(cls, data: dict):
+        data = data.copy()
+        kind = data.pop("kind", None)
+        if kind is not None or cls is WireMessage:
+            cls = _KINDS.get(kind)
+            if cls is None:
+                raise SimulatorError(f"unknown message kind: {kind}")
+        if "inner" in data:
+            data["inner"] = WireMessage.from_wire(data["inner"])
+        if data.get("trace_parent"):
+            data["trace_parent"] = tuple(data["trace_parent"])
+        return cls(**data)
+
+
 @dataclass
-class Command:
+class Command(WireMessage):
+    kind = "command"
+
     target_service: str
     command_type: str
     payload: dict = field(default_factory=dict)
@@ -60,41 +96,16 @@ class Command:
     # Infrastructure commands (versioning, commit/abort) bypass impairment.
     infrastructure: bool = False
 
-    def to_wire(self) -> dict:
-        return {
-            "kind": "command",
-            "target_service": self.target_service,
-            "command_type": self.command_type,
-            "payload": self.payload,
-            "command_id": self.command_id,
-            "unit_of_work_ref": self.unit_of_work_ref,
-            "target_aggregate_id": self.target_aggregate_id,
-            "functionality": self.functionality,
-            "step": self.step,
-            "trace_parent": list(self.trace_parent) if self.trace_parent else None,
-            "infrastructure": self.infrastructure,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "Command":
-        trace = data.get("trace_parent")
-        return cls(
-            target_service=data["target_service"],
-            command_type=data["command_type"],
-            payload=data["payload"],
-            command_id=data["command_id"],
-            unit_of_work_ref=data["unit_of_work_ref"],
-            target_aggregate_id=data["target_aggregate_id"],
-            functionality=data["functionality"],
-            step=data["step"],
-            trace_parent=tuple(trace) if trace else None,
-            infrastructure=data["infrastructure"],
-        )
+    @property
+    def inner(self) -> "Command":
+        return self
 
 
 @dataclass
-class SagaCommandEnvelope:
+class SagaCommandEnvelope(WireMessage):
     """Saga wrapper: forbidden states to reject on, state to acquire."""
+
+    kind = "saga"
 
     inner: Command
     forbidden_states: list
@@ -106,80 +117,33 @@ class SagaCommandEnvelope:
         if self.acquire_state == NOT_IN_SAGA:
             raise SimulatorError("acquire_state must name an in-saga state")
 
-    def to_wire(self) -> dict:
-        return {
-            "kind": "saga",
-            "inner": self.inner.to_wire(),
-            "forbidden_states": list(self.forbidden_states),
-            "acquire_state": self.acquire_state,
-        }
-
 
 @dataclass
-class CausalCommandEnvelope:
+class CausalCommandEnvelope(WireMessage):
     """Causal wrapper carrying the caller's snapshot and transaction id."""
+
+    kind = "causal"
 
     inner: Command
     snapshot_version: int
     uow_id: int
 
-    def to_wire(self) -> dict:
-        return {
-            "kind": "causal",
-            "inner": self.inner.to_wire(),
-            "snapshot_version": self.snapshot_version,
-            "uow_id": self.uow_id,
-        }
 
-
-def message_from_wire(data: dict):
-    kind = data.get("kind")
-    if kind == "command":
-        return Command.from_wire(data)
-    if kind == "saga":
-        return SagaCommandEnvelope(
-            inner=Command.from_wire(data["inner"]),
-            forbidden_states=data["forbidden_states"],
-            acquire_state=data["acquire_state"],
-        )
-    if kind == "causal":
-        return CausalCommandEnvelope(
-            inner=Command.from_wire(data["inner"]),
-            snapshot_version=data["snapshot_version"],
-            uow_id=data["uow_id"],
-        )
-    raise SimulatorError(f"unknown message kind: {kind}")
+_KINDS = {cls.kind: cls for cls in (Command, SagaCommandEnvelope, CausalCommandEnvelope)}
 
 
 def inner_command(message) -> Command:
-    return message.inner if hasattr(message, "inner") else message
+    return message.inner
 
 
 @dataclass
-class CommandResponse:
+class CommandResponse(WireMessage):
     """A handler's payload, or the wire name and message of its error."""
 
     command_id: int
     payload: object = None
     error_name: str | None = None
     error_message: str | None = None
-
-    def to_wire(self) -> dict:
-        return {
-            "command_id": self.command_id,
-            "payload": self.payload,
-            "error_name": self.error_name,
-            "error_message": self.error_message,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "CommandResponse":
-        return cls(
-            command_id=data["command_id"],
-            payload=data["payload"],
-            error_name=data["error_name"],
-            error_message=data["error_message"],
-        )
 
 
 @dataclass(frozen=True)
@@ -231,15 +195,6 @@ class LocalTransport(Transport):
         return execute(message)
 
 
-class SerializedLocalTransport(Transport):
-    """Direct call with a mandatory round-trip through the byte encoding."""
-
-    def dispatch(self, message, execute) -> CommandResponse:
-        wire = serialization.roundtrip(message.to_wire())
-        response = execute(message_from_wire(wire))
-        return CommandResponse.from_wire(serialization.roundtrip(response.to_wire()))
-
-
 class RpcTransport(Transport):
     """Point-to-point call with a fixed one-way latency each direction."""
 
@@ -252,9 +207,13 @@ class RpcTransport(Transport):
     def dispatch(self, message, execute) -> CommandResponse:
         wire = serialization.roundtrip(message.to_wire())
         self._clock.sleep_ms(self.one_way_ms)
-        response = execute(message_from_wire(wire))
+        response = execute(WireMessage.from_wire(wire))
         self._clock.sleep_ms(self.one_way_ms)
         return CommandResponse.from_wire(serialization.roundtrip(response.to_wire()))
+
+
+class SerializedLocalTransport(RpcTransport):
+    """The rpc transport at zero latency: a direct call through the byte encoding."""
 
 
 class _ServiceQueue:
@@ -361,7 +320,7 @@ class BrokerTransport(Transport):
                     queue.promoted.notify()
                 elif not self._closed:
                     self._start_consumer(service, queue, execute)
-            message = message_from_wire(serialization.decode(wire))
+            message = WireMessage.from_wire(serialization.decode(wire))
             response = execute(message)
             try:
                 response_wire = serialization.encode(response.to_wire())
@@ -378,7 +337,7 @@ class BrokerTransport(Transport):
             idle_since_ns = self._clock.now_ns()
 
     def dispatch(self, message, execute) -> CommandResponse:
-        command = inner_command(message)
+        command = message.inner
         service = command.target_service
         queue = self._queues[service]
         event = threading.Event()
@@ -447,7 +406,7 @@ class CommandGateway:
         if mode == "local":
             transport: Transport = LocalTransport()
         elif mode == "local-serialized":
-            transport = SerializedLocalTransport()
+            transport = SerializedLocalTransport(self._clock, 0)
         elif mode == "rpc":
             transport = RpcTransport(self._clock, latency.get("one_way_ms", 10.0))
         elif mode == "broker":
@@ -472,7 +431,7 @@ class CommandGateway:
     # -- dispatch ----------------------------------------------------------
 
     def _stamp(self, message) -> Command:
-        command = inner_command(message)
+        command = message.inner
         if command.command_id is None:
             with self._id_lock:
                 command.command_id = self._next_id
@@ -509,7 +468,7 @@ class CommandGateway:
     # -- server side -------------------------------------------------------
 
     def _execute(self, message) -> CommandResponse:
-        command = inner_command(message)
+        command = message.inner
         span_id = None
         try:
             if (
@@ -552,7 +511,7 @@ def _compose(decorators, handler):
     """
 
     def terminal(message):
-        return handler(inner_command(message))
+        return handler(message.inner)
 
     chain = terminal
     for decorator in reversed(decorators):

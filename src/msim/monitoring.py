@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .clock import Clock
 from .errors import UnbalancedSpan
@@ -31,15 +31,7 @@ class Span:
         return self.end_ns - self.start_ns
 
     def to_json(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "attributes": self.attributes,
-        }
+        return asdict(self)
 
 
 class SpanRecorder:

@@ -37,6 +37,11 @@ class Simulator:
         self.recorder = SpanRecorder(self.clock)
         self.impairment = ImpairmentHandler(
             report_path=config.impairment_report_path, errors=self.errors)
+        # Before any handler starts a broker consumer, so a malformed plan
+        # leaves no thread behind.
+        self._register_sample_errors()
+        if config.impairment_plan_dir:
+            self.impairment.load_dir(config.impairment_plan_dir)
         self.store = SimulationStore()
         self.ids = AggregateIdGenerator()
 
@@ -78,10 +83,6 @@ class Simulator:
 
         self.events = EventHandlingLoop(self.store, self.notification)
         self.app = register_sample_app(self)
-
-        self._register_sample_errors()
-        if config.impairment_plan_dir:
-            self.impairment.load_dir(config.impairment_plan_dir)
 
     # -- wiring helpers -----------------------------------------------------
 

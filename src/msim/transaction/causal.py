@@ -47,7 +47,7 @@ from ..errors import (
     MergeConflictUnresolvable,
     SimulatorError,
 )
-from ..messaging import CausalCommandEnvelope, CommandHandlerDecorator, inner_command
+from ..messaging import CausalCommandEnvelope, CommandHandlerDecorator
 from .base import FifoGate, UnitOfWork, UnitOfWorkService, UowStatus
 
 
@@ -215,7 +215,7 @@ class CausalCommandDecorator(CommandHandlerDecorator):
         self._service = service
 
     def handle(self, message, proceed):
-        command = inner_command(message)
+        command = message.inner
         if isinstance(message, CausalCommandEnvelope):
             uow = self._service.lookup(message.uow_id)
             if uow.snapshot_version != message.snapshot_version:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..aggregate import NOT_IN_SAGA
 from ..context import ambient
 from ..errors import AggregateDeleted, SemanticLockConflict, SimulatorError
-from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope, inner_command
+from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope
 from .base import FifoGate, LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
 
 
@@ -270,7 +270,7 @@ class SagaCommandDecorator(CommandHandlerDecorator):
         self._service = service
 
     def handle(self, message, proceed):
-        command = inner_command(message)
+        command = message.inner
         uow = self._service.lookup(command.unit_of_work_ref)
         # Opened before the lock wait, so an abort that begins while this
         # handler runs always finds and discards its frame.

@@ -1,9 +1,10 @@
+import threading
 from dataclasses import fields, replace
 
 import pytest
 
-from msim import SimConfig
-from msim.errors import InvalidConfig
+from msim import SimConfig, Simulator
+from msim.errors import InvalidConfig, MalformedPlan
 from msim.messaging import Command, SagaCommandEnvelope
 from msim.sampleapp.domain import IN_UPDATE_TOURNAMENT
 from tests.conftest import seed_basic
@@ -141,3 +142,12 @@ def test_forbidden_state_rejects_before_handler_runs(saga_sim):
             acquire_state=IN_UPDATE_TOURNAMENT))
     assert calls == []  # rejected before the handler ran
     paused.execute()
+
+
+def test_failed_construction_leaves_no_consumer_thread(tmp_path):
+    (tmp_path / "plan.csv").write_text(
+        "functionality,step,invocation_index,action,value\nx,y,0,FAIL,SimulatedFault\n")
+    before = set(threading.enumerate())
+    with pytest.raises(MalformedPlan):
+        Simulator(SimConfig(transport_mode="broker", impairment_plan_dir=str(tmp_path)))
+    assert set(threading.enumerate()) <= before  # no thread left behind
