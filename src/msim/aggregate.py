@@ -12,11 +12,14 @@ that snapshot, as MVCC garbage collection does. Causal commits pass it;
 saga writes do not, so saga chains keep their full history.
 
 The store keeps all committed state for every simulated service: aggregate
-chains plus per-service domain event logs. Mutations go through
+chains plus one append-only domain event log. Mutations go through
 ``install()``, which builds a fresh state structure and publishes it with a
-single reference swap. A crash at any intermediate point of a commit
-therefore leaves either the complete batch or nothing, which is what makes
-the transactional outbox honest under fault injection.
+single reference swap; the state counts the visible entries of the event
+list, and an install writes its events at that count. A crash at any
+intermediate point of a commit therefore leaves either the complete batch
+or nothing, which is what makes the transactional outbox honest under fault
+injection. Publishing moves one cursor, so the published events are always
+a prefix of the log.
 """
 
 from __future__ import annotations
@@ -138,27 +141,19 @@ def _by_version(record):
 
 
 class _StoreState:
-    __slots__ = ("records", "events", "event_ids")
+    __slots__ = ("records", "event_count", "published")
 
-    def __init__(self, records: dict, events: dict, event_ids: dict):
-        # records:   aggregate_id -> list of records sorted by version
-        # events:    service name -> tuple of DomainEvent
-        # event_ids: service name -> frozenset of the event ids in its log
+    def __init__(self, records: dict, event_count: int, published: int):
+        # records:     aggregate_id -> list of records sorted by version
+        # event_count: how many entries of the store's event list are visible
+        # published:   length of the published prefix of those entries
         self.records = records
-        self.events = events
-        self.event_ids = event_ids
-
-
-def _append_event(events: dict, event_ids: dict, service: str, event) -> None:
-    """Append event to service's log in the given maps unless its id is there."""
-    ids = event_ids.get(service, frozenset())
-    if event.event_id not in ids:
-        events[service] = events.get(service, ()) + (event,)
-        event_ids[service] = ids | {event.event_id}
+        self.event_count = event_count
+        self.published = published
 
 
 class SimulationStore:
-    """Committed aggregate chains plus per-service event logs.
+    """Committed aggregate chains plus one event log with a published cursor.
 
     Readers take a snapshot of the current state reference and never block.
     install() validates, builds the next state, and swaps it in atomically;
@@ -167,7 +162,9 @@ class SimulationStore:
     """
 
     def __init__(self):
-        self._state = _StoreState({}, {}, {})
+        self._state = _StoreState({}, 0, 0)
+        self._events = []
+        self._event_ids = set()  # ids of the visible events
         self._lock = threading.RLock()
 
     # -- writes ---------------------------------------------------------
@@ -176,7 +173,8 @@ class SimulationStore:
         """Atomically append committed records and outbox events.
 
         records: iterable of Aggregate (version already assigned, > 0)
-        events:  iterable of (service_name, DomainEvent)
+        events:  iterable of DomainEvent; one whose id is already in the log
+        is skipped
         oldest_snapshot: when given, no reader can ask for a version below
         it any more, so each touched chain keeps only its greatest version
         at or below it and every version above.
@@ -185,8 +183,6 @@ class SimulationStore:
         with self._lock:
             state = self._state
             new_records = dict(state.records)
-            new_events = dict(state.events)
-            new_event_ids = dict(state.event_ids)
             for i, rec in enumerate(records):
                 if rec.version <= 0:
                     raise SimulatorError("cannot install an uncommitted working copy")
@@ -209,36 +205,31 @@ class SimulationStore:
                         del chain[:oldest_readable]
                 new_records[rec.aggregate_id] = chain
                 hook(f"install:record:{i}")
-            for i, (service, event) in enumerate(events):
-                _append_event(new_events, new_event_ids, service, event)
+            batch = {}  # event id -> event, in arrival order
+            for i, event in enumerate(events):
+                if event.event_id not in self._event_ids:
+                    batch.setdefault(event.event_id, event)
                 hook(f"install:event:{i}")
             hook("install:swap")
-            self._state = _StoreState(new_records, new_events, new_event_ids)
+            self._events[state.event_count:] = batch.values()
+            self._event_ids.update(batch)
+            self._state = _StoreState(
+                new_records, state.event_count + len(batch), state.published
+            )
 
-    def publish_batch(self, publisher_service: str, event_ids, deliveries) -> int:
-        """Mark events published and copy them to subscriber logs, atomically.
+    def publish(self, upto: int) -> int:
+        """Publish the first `upto` events of the log.
 
-        deliveries: iterable of (subscriber_service, DomainEvent copy).
-        Returns how many events transitioned to published. Idempotent per
-        event id on both sides.
+        Returns how many events this call newly published, so a second call
+        with the same `upto` returns 0.
         """
-        event_ids = set(event_ids)
         with self._lock:
             state = self._state
-            new_events = dict(state.events)
-            marked = 0
-            log = []
-            for ev in new_events.get(publisher_service, ()):
-                if ev.event_id in event_ids and not ev.published:
-                    ev = ev.mark_published()
-                    marked += 1
-                log.append(ev)
-            new_events[publisher_service] = tuple(log)
-            new_event_ids = dict(state.event_ids)
-            for service, ev in deliveries:
-                _append_event(new_events, new_event_ids, service, ev)
-            self._state = _StoreState(state.records, new_events, new_event_ids)
-            return marked
+            upto = min(upto, state.event_count)
+            if upto <= state.published:
+                return 0
+            self._state = _StoreState(state.records, state.event_count, upto)
+            return upto - state.published
 
     # -- reads ------------------------------------------------------------
 
@@ -294,8 +285,10 @@ class SimulationStore:
         for chain in state.records.values():
             yield from chain
 
-    def events_of(self, service: str):
-        return self._state.events.get(service, ())
+    def events(self) -> list:
+        """Every visible event, oldest first."""
+        return self._events[: self._state.event_count]
 
-    def event_services(self):
-        return list(self._state.events.keys())
+    def published_count(self) -> int:
+        """Length of the published prefix of events()."""
+        return self._state.published

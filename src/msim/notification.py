@@ -1,12 +1,12 @@
 """Event propagation: transactional outbox, publisher, and handling cycles.
 
-Events are written to the publisher's event log in the same atomic install
+Events are written to the store's one event log in the same atomic install
 as the aggregate versions that emitted them (the transactional outbox).
-A publisher cycle then marks them published and, in distributed topologies,
-copies them into each subscribing service's own log. Downstream aggregates
-consume through subscription matching: an event is delivered to a
-subscriber when its type and sender match and its publisher version is
-strictly newer than what the subscriber has already processed.
+A publisher cycle then moves the log's published cursor past them, after
+the configured delivery latency, so every service sees them at once.
+Downstream aggregates consume through subscription matching: an event is
+delivered to a subscriber when its type and sender match and its publisher
+version is strictly newer than what the subscriber has already processed.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass, replace
 
 from .aggregate import LifecycleState, SimulationStore
 from .clock import Clock
-from .errors import DomainError
-
-SHARED_LOG = "shared"
+from .errors import DomainError, InfraError
 
 
 @dataclass(frozen=True)
@@ -29,10 +27,6 @@ class DomainEvent:
     publisher_aggregate_id: int
     publisher_version: int
     payload: dict
-    published: bool = False
-
-    def mark_published(self) -> "DomainEvent":
-        return replace(self, published=True)
 
     def with_publisher_version(self, version: int) -> "DomainEvent":
         return replace(self, publisher_version=version)
@@ -51,92 +45,64 @@ class EventIdGenerator:
 class NotificationService:
     """Event store façade plus the publisher, run on demand by publish_pending().
 
-    topology "shared": one log for every service (local deployments).
-    topology "per-service": each service owns a log; publishing copies
-    events to subscriber logs with the configured delivery latency.
+    Each publishing service's relay is modeled as running in parallel with
+    the others, so one publication pays the delivery latency once.
     """
 
-    def __init__(
-        self,
-        store: SimulationStore,
-        clock: Clock,
-        topology: str = "shared",
-        delivery_latency_ms: float = 0.0,
-    ):
+    def __init__(self, store: SimulationStore, clock: Clock, delivery_latency_ms: float = 0.0):
         self._store = store
         self._clock = clock
-        self.topology = topology
         self.delivery_latency_ms = delivery_latency_ms
-        self._subscribed_types: dict[str, set[str]] = {}
+        self._subscribed_types: set[str] = set()
         self.event_ids = EventIdGenerator()
-        # log key -> (the log tuple indexed, its index). The store replaces
-        # a log's tuple on every change, so the tuple's identity tells
-        # whether the index is current.
-        self._log_indexes: dict[str, tuple] = {}
+        # (published count it was built at, index of the published events)
+        self._index: tuple[int, dict] = (0, {})
 
-    def declare_subscription(self, service: str, event_type: str) -> None:
-        self._subscribed_types.setdefault(service, set()).add(event_type)
-
-    def log_key(self, service: str) -> str:
-        """Which store log a service writes to / reads from."""
-        return SHARED_LOG if self.topology == "shared" else service
+    def declare_subscription(self, event_type: str) -> None:
+        self._subscribed_types.add(event_type)
 
     # -- publication -----------------------------------------------------
 
     def publish_pending(self) -> int:
-        """Deliver every unpublished event to its subscribers, exactly once.
+        """Publish every pending event, exactly once.
 
         Returns the number of events published this cycle.
         """
-        published = 0
-        for service in list(self._store.event_services()):
-            pending = [e for e in self._store.events_of(service) if not e.published]
-            if not pending:
-                continue
-            # A subscriber reading the publisher's own log (every subscriber
-            # in the shared topology) already sees the events there.
-            subscribers = [(subscriber, types)
-                           for subscriber, types in self._subscribed_types.items()
-                           if self.log_key(subscriber) != service]
-            deliveries = [(subscriber, event.mark_published())
-                          for event in pending
-                          for subscriber, types in subscribers
-                          if event.event_type in types]
-            if deliveries and self.delivery_latency_ms:
-                self._clock.sleep_ms(self.delivery_latency_ms)
-            published += self._store.publish_batch(
-                service, [e.event_id for e in pending], deliveries
-            )
-        return published
+        events = self._store.events()
+        pending = events[self._store.published_count():]
+        if self.delivery_latency_ms and any(
+            event.event_type in self._subscribed_types for event in pending
+        ):
+            self._clock.sleep_ms(self.delivery_latency_ms)
+        return self._store.publish(len(events))
 
     # -- subscription queries ----------------------------------------------
 
-    def _log_index(self, log_key: str) -> dict:
-        """Published events of one log by (event_type, publisher), built once
-        per log version: each entry is (events in log order, {payload key:
+    def _published_index(self) -> dict:
+        """Published events by (event_type, publisher), built once per
+        publication: each entry is (events in log order, {payload key:
         {value: events}}), the payload part filled per key on first use."""
-        log = self._store.events_of(log_key)
-        cached = self._log_indexes.get(log_key)
-        if cached is not None and cached[0] is log:
-            return cached[1]
-        index: dict[tuple, tuple] = {}
-        for event in log:
-            if event.published:
-                key = (event.event_type, event.publisher_aggregate_id)
-                if key not in index:
-                    index[key] = ([], {})
-                index[key][0].append(event)
-        self._log_indexes[log_key] = (log, index)
+        published = self._store.published_count()
+        built_at, index = self._index
+        if built_at == published:
+            return index
+        index = {}
+        for event in self._store.events()[:published]:
+            key = (event.event_type, event.publisher_aggregate_id)
+            if key not in index:
+                index[key] = ([], {})
+            index[key][0].append(event)
+        self._index = (published, index)
         return index
 
-    def get_subscribed_events(self, service: str, subscriptions) -> list[DomainEvent]:
-        """Events visible to `service` matching any subscription, oldest first.
+    def get_subscribed_events(self, subscriptions) -> list[DomainEvent]:
+        """Published events matching any subscription, oldest first.
 
         Each subscription looks up the events of its (event_type, sender),
         narrowed by its payload requirement, in an index of the log, so a
         query costs what its subscriptions match, not the log's length.
         """
-        index = self._log_index(self.log_key(service))
+        index = self._published_index()
         matched: dict[int, DomainEvent] = {}
         for sub in subscriptions:
             entry = index.get((sub.event_type, sub.sender_aggregate_id))
@@ -166,8 +132,9 @@ class EventHandlingLoop:
     dispatch each to its registered handler.
 
     Handlers launch the corresponding processing functionality. A handler's
-    DomainError is caught and the event is retried on the next cycle;
-    processing is at-least-once, so handlers must be idempotent.
+    DomainError or InfraError is caught and the event is retried on the next
+    cycle, so one reaction's failure does not stop the others; processing is
+    at-least-once, so handlers must be idempotent.
     """
 
     def __init__(self, store: SimulationStore, notification: NotificationService):
@@ -178,7 +145,7 @@ class EventHandlingLoop:
 
     def register(self, aggregate_type: str, event_type: str, handler) -> None:
         self._handlers.setdefault(aggregate_type, {})[event_type] = handler
-        self._notification.declare_subscription(aggregate_type, event_type)
+        self._notification.declare_subscription(event_type)
 
     def registered_types(self):
         return list(self._handlers.keys())
@@ -196,9 +163,7 @@ class EventHandlingLoop:
             subscriptions = latest.get_event_subscriptions()
             if not subscriptions:
                 continue
-            events = self._notification.get_subscribed_events(
-                aggregate_type, subscriptions
-            )
+            events = self._notification.get_subscribed_events(subscriptions)
             for event in events:
                 handler = handlers.get(event.event_type)
                 if handler is None:
@@ -206,6 +171,6 @@ class EventHandlingLoop:
                 try:
                     handler(aggregate_id, event)
                     processed += 1
-                except DomainError:
+                except (DomainError, InfraError):
                     pass  # the event is still unprocessed: retried next cycle
         return processed

@@ -66,15 +66,12 @@ class Simulator:
 
         self.versioning = self._build_versioning(config)
 
-        topology = "shared" if config.transport_mode in ("local", "local-serialized") else "per-service"
         delivery = (
             config.rpc_one_way_ms
             if config.transport_mode == "rpc"
             else config.broker_delivery_ms if config.transport_mode == "broker" else 0.0
         )
-        self.notification = NotificationService(
-            self.store, self.clock, topology=topology, delivery_latency_ms=delivery
-        )
+        self.notification = NotificationService(self.store, self.clock, delivery_latency_ms=delivery)
 
         self.transactions = self._build_transactions(config)
         self.gateway.register_handler(
@@ -110,7 +107,6 @@ class Simulator:
         common = dict(
             store=self.store,
             versioning=self.versioning,
-            notification=self.notification,
             gateway=self.gateway,
             clock=self.clock,
             recorder=self.recorder,

@@ -114,10 +114,9 @@ class UnitOfWorkService:
     """Abstract transaction service: createUnitOfWork / commit / abort plus
     registration of aggregate loads, changes, and emitted events."""
 
-    def __init__(self, store, versioning, notification, gateway, clock, recorder=None):
+    def __init__(self, store, versioning, gateway, clock, recorder=None):
         self._store = store
         self._versioning = versioning
-        self._notification = notification
         self._gateway = gateway
         self._clock = clock
         self._recorder = recorder
@@ -231,13 +230,9 @@ class UnitOfWorkService:
     # -- shared helpers ---------------------------------------------------------
 
     def _outbox_entries(self, uow: UnitOfWork, events) -> list:
-        entries = []
-        for event in events:
-            publisher = uow.changed.get(event.publisher_aggregate_id)
-            if publisher is None:
-                raise SimulatorError(
-                    "event publisher is not a changed aggregate in this unit of work"
-                )
-            service = self._notification.log_key(publisher.aggregate_type)
-            entries.append((service, event))
-        return entries
+        events = list(events)
+        if any(event.publisher_aggregate_id not in uow.changed for event in events):
+            raise SimulatorError(
+                "event publisher is not a changed aggregate in this unit of work"
+            )
+        return events

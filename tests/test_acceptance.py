@@ -230,11 +230,10 @@ def check_atomic_visibility_outbox(transport):
     # Crash at every stage: the store must hold all three records or none.
     for crash_index in range(len(stages)):
         sim, execution_id, user_id = fresh()
-        log_key = sim.notification.log_key("execution")
         before = (
             len(sim.store.versions(execution_id)),
             len(sim.store.versions(user_id)),
-            len(sim.store.events_of(log_key)),
+            len(sim.store.events()),
         )
         uow = _staged_two_aggregates_plus_event(sim, execution_id, user_id)
         seen = [0]
@@ -251,7 +250,7 @@ def check_atomic_visibility_outbox(transport):
         after = (
             len(sim.store.versions(execution_id)),
             len(sim.store.versions(user_id)),
-            len(sim.store.events_of(log_key)),
+            len(sim.store.events()),
         )
         delta = tuple(b - a for a, b in zip(before, after))
         assert delta == (0, 0, 0), f"partial commit at stage {stages[crash_index]}"

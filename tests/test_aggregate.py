@@ -11,7 +11,7 @@ from msim.aggregate import (
     LifecycleState,
     SimulationStore,
 )
-from msim.errors import AggregateDeleted, AggregateNotFound, SimulatorError
+from msim.errors import AggregateDeleted, AggregateNotFound, InjectedCrash, SimulatorError
 from msim.notification import DomainEvent
 from msim.sampleapp.domain import CourseExecution, MemberRef, Tournament
 
@@ -165,13 +165,31 @@ def test_bisected_lookups_equal_linear_scan(versions, probe):
 def test_event_ids_deduplicated_in_install_and_delivery():
     store = SimulationStore()
     event = make_event(1, "E", 7, 1)
-    store.install(events=[("svc", event), ("svc", event)])
-    store.install(events=[("svc", event), ("svc", make_event(2, "E", 7, 2))])
-    assert [e.event_id for e in store.events_of("svc")] == [1, 2]
-    copy = event.mark_published()
-    assert store.publish_batch("svc", [1], [("sub", copy), ("sub", copy)]) == 1
-    assert store.publish_batch("svc", [1], [("sub", copy)]) == 0
-    assert store.events_of("sub") == (copy,)
+    store.install(events=[event, event])
+    store.install(events=[event, make_event(2, "E", 7, 2)])
+    assert [e.event_id for e in store.events()] == [1, 2]
+    assert store.publish(2) == 2
+    assert store.publish(2) == 0
+    assert store.published_count() == 2
+
+
+def test_crashed_install_events_never_become_visible():
+    store = SimulationStore()
+    store.install(events=[make_event(1, "E", 7, 1)])
+
+    def crash_at_swap(stage):
+        if stage == "install:swap":
+            raise InjectedCrash(stage)
+
+    with pytest.raises(InjectedCrash):
+        store.install(events=[make_event(2, "Lost", 7, 2), make_event(3, "Lost", 7, 3)],
+                      stage_hook=crash_at_swap)
+    assert [e.event_id for e in store.events()] == [1]
+    store.install(events=[make_event(4, "E", 7, 4)])
+    assert [e.event_id for e in store.events()] == [1, 4]
+    # The crashed batch left no id behind either: it can still be installed.
+    store.install(events=[make_event(2, "Lost", 7, 2)])
+    assert [e.event_id for e in store.events()] == [1, 4, 2]
 
 
 def test_prev_links_terminate():

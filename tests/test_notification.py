@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -7,13 +9,8 @@ from hypothesis import strategies as st
 from msim.aggregate import EventSubscription, SimulationStore
 from msim.clock import VirtualClock
 from msim.errors import InjectedCrash
-from msim.notification import SHARED_LOG, DomainEvent, NotificationService
+from msim.notification import DomainEvent, NotificationService
 from tests.conftest import seed_basic
-
-
-def pending_events(sim, service):
-    log = sim.store.events_of(sim.notification.log_key(service))
-    return [e for e in log if not e.published]
 
 
 # -- transactional outbox ------------------------------------------------------
@@ -23,21 +20,17 @@ def test_commit_stores_unpublished_event_with_commit_version(saga_sim):
     sim = saga_sim
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     sim.app.update_student_name(execution_id, user_ids[0], "renamed")
-    events = [
-        e
-        for e in sim.store.events_of(sim.notification.log_key("execution"))
-        if e.event_type == "UpdateStudentNameEvent"
-    ]
+    events = [e for e in sim.store.events() if e.event_type == "UpdateStudentNameEvent"]
     assert len(events) == 1
     event = events[0]
-    assert not event.published
+    assert event in sim.store.events()[sim.store.published_count():]
     assert event.publisher_version == sim.store.latest(execution_id).version
 
 
 def test_aborted_unit_of_work_stores_no_events(causal_sim):
     sim = causal_sim
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
-    before = len(sim.store.events_of(sim.notification.log_key("execution")))
+    before = len(sim.store.events())
     uow = sim.transactions.create_unit_of_work()
     execution = sim.transactions.aggregate_load(uow, execution_id)
     execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="renamed")
@@ -53,7 +46,7 @@ def test_aborted_unit_of_work_stores_no_events(causal_sim):
         ),
     )
     sim.transactions.abort(uow)
-    assert len(sim.store.events_of(sim.notification.log_key("execution"))) == before
+    assert len(sim.store.events()) == before
 
 
 def test_crash_between_aggregate_and_event_write_leaves_nothing(causal_sim):
@@ -62,7 +55,7 @@ def test_crash_between_aggregate_and_event_write_leaves_nothing(causal_sim):
     sim = causal_sim
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     versions_before = sim.store.versions(execution_id)
-    events_before = len(sim.store.events_of(sim.notification.log_key("execution")))
+    events_before = len(sim.store.events())
 
     uow = sim.transactions.create_unit_of_work()
     execution = sim.transactions.aggregate_load(uow, execution_id)
@@ -87,36 +80,30 @@ def test_crash_between_aggregate_and_event_write_leaves_nothing(causal_sim):
     with pytest.raises(InjectedCrash):
         sim.transactions._do_commit(uow)
     assert sim.store.versions(execution_id) == versions_before
-    assert len(sim.store.events_of(sim.notification.log_key("execution"))) == events_before
+    assert len(sim.store.events()) == events_before
 
 
 # -- publication ---------------------------------------------------------------
 
 
-def test_publish_delivers_to_subscribed_stores_only(make_sim):
-    # rpc topology: one event log per service; subscribers only receive the
-    # types they declared.
+def test_publish_makes_events_visible_to_subscribers(make_sim):
+    # rpc: no subscriber sees an event until a publication moves the
+    # published cursor past it.
     sim = make_sim(transport_mode="rpc", rpc_one_way_ms=0)
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     sim.app.update_student_name(execution_id, user_ids[0], "renamed-1")
     sim.app.update_student_name(execution_id, user_ids[0], "renamed-2")
     sim.app.anonymize_user(user_ids[1])
-    assert len(pending_events(sim, "execution")) == 2
-    assert len(pending_events(sim, "user")) == 1
+    subs = [
+        EventSubscription("UpdateStudentNameEvent", execution_id, 0),
+        EventSubscription("AnonymizeUserEvent", user_ids[1], 0),
+    ]
+    assert sim.notification.get_subscribed_events(subs) == []
 
-    published = sim.notification.publish_pending()
-    assert published == 3
-    tournament_log = sim.store.events_of("tournament")
-    assert {e.event_type for e in tournament_log} <= {
-        "UpdateStudentNameEvent",
-        "AnonymizeUserEvent",
-    }
-    assert len(tournament_log) == 3
-    # user/execution services subscribe to nothing: no foreign deliveries
-    assert all(
-        e.publisher_aggregate_id == execution_id
-        for e in sim.store.events_of("execution")
-    )
+    assert sim.notification.publish_pending() == 3
+    got = sim.notification.get_subscribed_events(subs)
+    assert len(got) == 3
+    assert {e.event_type for e in got} == {"UpdateStudentNameEvent", "AnonymizeUserEvent"}
 
 
 def test_publish_with_no_pending_events(saga_sim):
@@ -129,6 +116,72 @@ def test_publish_marks_exactly_once(saga_sim):
     sim.app.update_student_name(execution_id, user_ids[0], "renamed")
     assert sim.notification.publish_pending() == 1
     assert sim.notification.publish_pending() == 0
+
+
+
+def make_event(event_id, event_type, publisher=1):
+    return DomainEvent(event_id=event_id, event_type=event_type,
+                       publisher_aggregate_id=publisher, publisher_version=event_id,
+                       payload={})
+
+
+def test_publication_pays_the_delivery_latency_once():
+    clock = VirtualClock()
+    store = SimulationStore()
+    notification = NotificationService(store, clock, delivery_latency_ms=7)
+    notification.declare_subscription("Subscribed")
+
+    assert notification.publish_pending() == 0
+    assert clock.now_ms() == 0
+    store.install(events=[make_event(1, "Unsubscribed")])
+    assert notification.publish_pending() == 1
+    assert clock.now_ms() == 0
+    # Pending events of two publishers and a type nobody subscribes to.
+    store.install(events=[make_event(2, "Subscribed", publisher=1),
+                          make_event(3, "Subscribed", publisher=2),
+                          make_event(4, "Unsubscribed")])
+    assert notification.publish_pending() == 3
+    assert clock.now_ms() == 7
+    assert notification.publish_pending() == 0
+    assert clock.now_ms() == 7
+
+
+def test_concurrent_publishers_publish_each_event_once():
+    store = SimulationStore()
+    notification = NotificationService(store, VirtualClock())
+    per_installer = 300
+    installers_done = threading.Event()
+    counts = []
+
+    def install():
+        for _ in range(per_installer):
+            event_id = notification.event_ids.new_event_id()
+            store.install(events=[make_event(event_id, "E")])
+
+    def publish():
+        total = 0
+        while not installers_done.is_set():
+            total += notification.publish_pending()
+        counts.append(total + notification.publish_pending())
+
+    installers = [threading.Thread(target=install) for _ in range(2)]
+    publishers = [threading.Thread(target=publish) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in publishers + installers:
+            thread.start()
+        for thread in installers:
+            thread.join(timeout=30)
+        installers_done.set()
+        for thread in publishers:
+            thread.join(timeout=30)
+    finally:
+        installers_done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in publishers + installers)
+    assert sum(counts) == 2 * per_installer
+    assert store.published_count() == len(store.events()) == 2 * per_installer
 
 
 # -- subscription queries ----------------------------------------------------------
@@ -156,13 +209,12 @@ def test_get_subscribed_events_matches_brute_force(saga_sim):
     sim.app.anonymize_user(user_ids[1])
     sim.notification.publish_pending()
 
-    log = sim.store.events_of(sim.notification.log_key("tournament"))
-    published = [e for e in log if e.published]
+    published = sim.store.events()[: sim.store.published_count()]
     subs = [
         EventSubscription("UpdateStudentNameEvent", execution_id, 0),
         EventSubscription("AnonymizeUserEvent", user_ids[1], 0),
     ]
-    got = sim.notification.get_subscribed_events("tournament", subs)
+    got = sim.notification.get_subscribed_events(subs)
     assert got == brute_force_matches(published, subs)
     assert [e.publisher_version for e in got] == sorted(
         e.publisher_version for e in got
@@ -174,11 +226,7 @@ def test_last_version_boundary_is_strict(saga_sim):
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     sim.app.update_student_name(execution_id, user_ids[0], "renamed")
     sim.notification.publish_pending()
-    event = [
-        e
-        for e in sim.store.events_of(sim.notification.log_key("execution"))
-        if e.event_type == "UpdateStudentNameEvent"
-    ][0]
+    event = [e for e in sim.store.events() if e.event_type == "UpdateStudentNameEvent"][0]
     at_boundary = [
         EventSubscription("UpdateStudentNameEvent", execution_id, event.publisher_version)
     ]
@@ -187,8 +235,8 @@ def test_last_version_boundary_is_strict(saga_sim):
             "UpdateStudentNameEvent", execution_id, event.publisher_version - 1
         )
     ]
-    assert sim.notification.get_subscribed_events("tournament", at_boundary) == []
-    assert len(sim.notification.get_subscribed_events("tournament", below)) == 1
+    assert sim.notification.get_subscribed_events(at_boundary) == []
+    assert len(sim.notification.get_subscribed_events(below)) == 1
 
 
 _types = st.sampled_from(["A", "B"])
@@ -200,7 +248,6 @@ _events = st.lists(
     st.tuples(
         _types, _senders, _versions,
         st.dictionaries(st.sampled_from(["user", "other"]), _payload_values, max_size=2),
-        st.booleans(),
     ),
     max_size=25,
 )
@@ -213,52 +260,52 @@ _subscriptions = st.lists(
 )
 
 
-@given(events=_events, later=_events, to_publish=st.sets(st.integers(1, 50)),
+@given(events=_events, later=_events,
+       publish_upto=st.tuples(st.integers(0, 50), st.integers(0, 50)),
        subscriptions=_subscriptions)
 @example(  # the lowest of several watermarks on one (type, sender) decides
-    events=[("A", 1, 3, {}, True), ("A", 2, 3, {"user": 2}, True)],
-    later=[], to_publish=set(),
+    events=[("A", 1, 3, {}), ("A", 2, 3, {"user": 2})],
+    later=[], publish_upto=(2, 2),
     subscriptions=[EventSubscription("A", 1, 4), EventSubscription("A", 1, 1),
                    EventSubscription("A", 2, 5, ("user", 2)),
                    EventSubscription("A", 2, 2, ("user", 2))],
 )
-def test_indexed_matching_equals_brute_force_filter(events, later, to_publish,
+def test_indexed_matching_equals_brute_force_filter(events, later, publish_upto,
                                                      subscriptions):
     # Oracle: every published event that any subscription's own matches()
     # accepts, ordered by publisher version. Watermarks and versions share a
     # small range, so events land on, below and above each watermark. One
-    # service answers queries as the log grows and as events are published,
-    # so an index kept from an earlier log version would show.
+    # service answers queries as the log grows and as a prefix of it is
+    # published, so an index kept from an earlier publication would show.
     store = SimulationStore()
     notification = NotificationService(store, VirtualClock())
 
     def check():
-        log = store.events_of(SHARED_LOG)
+        published = store.events()[: store.published_count()]
         for subs in (subscriptions, *([sub] for sub in subscriptions)):
             expected = sorted(
-                (e for e in log if e.published and any(s.matches(e) for s in subs)),
+                (e for e in published if any(s.matches(e) for s in subs)),
                 key=lambda e: (e.publisher_version, e.event_id),
             )
-            assert notification.get_subscribed_events("tournament", subs) == expected
+            assert notification.get_subscribed_events(subs) == expected
 
     check()
     first_id = 1
-    for batch in (events, later):
+    for batch, upto in zip((events, later), publish_upto):
         log = [
             DomainEvent(event_id=i, event_type=event_type, publisher_aggregate_id=sender,
-                        publisher_version=version, payload=payload, published=published)
-            for i, (event_type, sender, version, payload, published)
-            in enumerate(batch, first_id)
+                        publisher_version=version, payload=payload)
+            for i, (event_type, sender, version, payload) in enumerate(batch, first_id)
         ]
         first_id += len(batch)
-        store.install(events=[(SHARED_LOG, e) for e in log])
+        store.install(events=log)
         check()
-    store.publish_batch(SHARED_LOG, to_publish, [])
-    check()
+        store.publish(upto)
+        check()
 
 
 def test_empty_subscription_list(saga_sim):
-    assert saga_sim.notification.get_subscribed_events("tournament", []) == []
+    assert saga_sim.notification.get_subscribed_events([]) == []
 
 
 # -- handling cycles ----------------------------------------------------------------
@@ -355,3 +402,33 @@ def test_eventual_delivery_within_two_cycles(make_sim):
         sim.run_event_cycles(2)
         view = sim.app.get_tournament(tournament_id)
         assert view["participants"][str(user_ids[0])]["name"] == "renamed"
+
+
+def test_infra_failure_of_one_reaction_leaves_the_others_running(make_sim):
+    # The first tournament's semantic lock is held by a paused workflow, so
+    # its reaction fails with ServiceUnavailable once retries run out. The
+    # second tournament still reacts in the same cycle; the first reacts on
+    # a later cycle, after the lock is released.
+    sim = make_sim(transaction_model="saga", retry_max_attempts=2, retry_base_ms=1,
+                   saga_lock_wait_ms=5)
+    execution_id, first, creator_id, user_ids = seed_basic(sim)
+    alice, bob = user_ids
+    second = sim.app.create_tournament(execution_id, creator_id, start_time=0,
+                                       end_time=1000, max_participants=10)
+    for tournament_id in (first, second):
+        sim.app.add_participant(tournament_id, execution_id, alice)
+    paused, _ = sim.app.functionalities.add_participant(first, execution_id, bob)
+    paused.execute_until("addParticipantStep")
+
+    def name_in(tournament_id):
+        return sim.app.get_tournament(tournament_id)["participants"][str(alice)]["name"]
+
+    sim.app.update_student_name(execution_id, alice, "alicia")
+    sim.publish_pending()
+    assert sim.run_event_handling_cycle("tournament") == 1
+    assert name_in(second) == "alicia"
+    assert name_in(first) == "student-0"
+
+    paused.execute()
+    assert sim.run_event_handling_cycle("tournament") == 1
+    assert name_in(first) == "alicia"
