@@ -13,13 +13,13 @@ saga writes do not, so saga chains keep their full history.
 
 The store keeps all committed state for every simulated service: aggregate
 chains plus one append-only domain event log. Mutations go through
-``install()``, which builds a fresh state structure and publishes it with a
-single reference swap; the state counts the visible entries of the event
-list, and an install writes its events at that count. A crash at any
-intermediate point of a commit therefore leaves either the complete batch
-or nothing, which is what makes the transactional outbox honest under fault
-injection. Publishing moves one cursor, so the published events are always
-a prefix of the log.
+``install()``, which validates the batch and builds each touched chain as a
+new list before it changes anything; only after its last stage does it
+write the events past the visible count, put the new chains in place and
+advance that count. A crash at any intermediate point of a commit therefore
+leaves either the complete batch or nothing, which is what makes the
+transactional outbox honest under fault injection. Publishing moves one
+cursor, so the published events are always a prefix of the log.
 """
 
 from __future__ import annotations
@@ -140,30 +140,21 @@ def _by_version(record):
     return record.version
 
 
-class _StoreState:
-    __slots__ = ("records", "event_count", "published")
-
-    def __init__(self, records: dict, event_count: int, published: int):
-        # records:     aggregate_id -> list of records sorted by version
-        # event_count: how many entries of the store's event list are visible
-        # published:   length of the published prefix of those entries
-        self.records = records
-        self.event_count = event_count
-        self.published = published
-
-
 class SimulationStore:
     """Committed aggregate chains plus one event log with a published cursor.
 
-    Readers take a snapshot of the current state reference and never block.
-    install() validates, builds the next state, and swaps it in atomically;
-    stage_hook (when given) is called between internal build steps so tests
-    can inject crashes at every intermediate point.
+    Readers never block: a chain, once in place, is never changed, and an
+    install replaces it with a new list. install() validates and builds the
+    touched chains, then puts them in place and advances the visible event
+    count; stage_hook (when given) is called between internal build steps so
+    tests can inject crashes at every intermediate point.
     """
 
     def __init__(self):
-        self._state = _StoreState({}, 0, 0)
+        self._records = {}  # aggregate_id -> list of records sorted by version
         self._events = []
+        self._event_count = 0  # how many entries of _events are visible
+        self._published = 0  # length of the published prefix of those entries
         self._event_ids = set()  # ids of the visible events
         self._lock = threading.RLock()
 
@@ -181,12 +172,14 @@ class SimulationStore:
         """
         hook = stage_hook or (lambda stage: None)
         with self._lock:
-            state = self._state
-            new_records = dict(state.records)
+            touched = {}  # aggregate_id -> its new chain
             for i, rec in enumerate(records):
                 if rec.version <= 0:
                     raise SimulatorError("cannot install an uncommitted working copy")
-                chain = list(new_records.get(rec.aggregate_id, ()))
+                chain = touched.get(rec.aggregate_id)
+                if chain is None:
+                    chain = touched[rec.aggregate_id] = list(
+                        self._records.get(rec.aggregate_id, ()))
                 at = bisect_left(chain, rec.version, key=_by_version)
                 if chain:
                     latest = chain[-1]
@@ -203,7 +196,6 @@ class SimulationStore:
                     oldest_readable = bisect_right(chain, oldest_snapshot, key=_by_version) - 1
                     if oldest_readable > 0:
                         del chain[:oldest_readable]
-                new_records[rec.aggregate_id] = chain
                 hook(f"install:record:{i}")
             batch = {}  # event id -> event, in arrival order
             for i, event in enumerate(events):
@@ -211,11 +203,10 @@ class SimulationStore:
                     batch.setdefault(event.event_id, event)
                 hook(f"install:event:{i}")
             hook("install:swap")
-            self._events[state.event_count:] = batch.values()
+            self._events[self._event_count:] = batch.values()
             self._event_ids.update(batch)
-            self._state = _StoreState(
-                new_records, state.event_count + len(batch), state.published
-            )
+            self._records.update(touched)
+            self._event_count += len(batch)
 
     def publish(self, upto: int) -> int:
         """Publish the first `upto` events of the log.
@@ -224,23 +215,21 @@ class SimulationStore:
         with the same `upto` returns 0.
         """
         with self._lock:
-            state = self._state
-            upto = min(upto, state.event_count)
-            if upto <= state.published:
-                return 0
-            self._state = _StoreState(state.records, state.event_count, upto)
-            return upto - state.published
+            upto = min(upto, self._event_count)
+            newly = max(0, upto - self._published)
+            self._published += newly
+            return newly
 
     # -- reads ------------------------------------------------------------
 
     def _chain(self, aggregate_id: int):
-        chain = self._state.records.get(aggregate_id)
+        chain = self._records.get(aggregate_id)
         if not chain:
             raise AggregateNotFound(f"aggregate {aggregate_id} not found")
         return chain
 
     def exists(self, aggregate_id: int) -> bool:
-        return aggregate_id in self._state.records
+        return aggregate_id in self._records
 
     def latest(self, aggregate_id: int) -> Aggregate:
         """Most recent record regardless of lifecycle state."""
@@ -253,7 +242,7 @@ class SimulationStore:
         return rec
 
     def latest_or_none(self, aggregate_id: int) -> Aggregate | None:
-        chain = self._state.records.get(aggregate_id)
+        chain = self._records.get(aggregate_id)
         return chain[-1] if chain else None
 
     def record_at(self, aggregate_id: int, version: int) -> Aggregate:
@@ -273,22 +262,24 @@ class SimulationStore:
         return [r.version for r in self._chain(aggregate_id)]
 
     def ids_of_type(self, aggregate_type: str) -> list[int]:
-        state = self._state
+        # Iterate a copy, since an install may grow the dict meanwhile.
+        # dict.copy() runs no Python code, so no thread switch splits it;
+        # list(items()) allocates a tuple per entry, which can start a
+        # garbage collection whose finalizers switch threads mid-copy.
         return [
             aid
-            for aid, chain in state.records.items()
+            for aid, chain in self._records.copy().items()
             if chain and chain[-1].aggregate_type == aggregate_type
         ]
 
     def all_records(self):
-        state = self._state
-        for chain in state.records.values():
+        for chain in self._records.copy().values():
             yield from chain
 
     def events(self) -> list:
         """Every visible event, oldest first."""
-        return self._events[: self._state.event_count]
+        return self._events[: self._event_count]
 
     def published_count(self) -> int:
         """Length of the published prefix of events()."""
-        return self._state.published
+        return self._published

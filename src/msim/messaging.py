@@ -9,10 +9,11 @@ single gateway interface. The transport behind it is configuration:
 * local-serialized -- rpc at zero latency: a direct call, but commands and
   responses are forced through the canonical byte encoding so payload
   problems surface locally.
-* broker           -- serialized, queued per service, taken by event-driven
-  consumers that run one service's handlers concurrently, response routed
-  back by correlation id. Poll ticks and delivery latency are waited out
-  through the clock, and a message whose caller gave up is dropped.
+* broker           -- serialized, handed to a parked consumer of the target
+  service (one is started when none is idle), so one service's handlers run
+  concurrently; each reply goes back to its caller's own slot. Poll ticks
+  and delivery latency are waited out through the clock, and a message
+  whose caller gave up is dropped.
 
 A handler's exception comes back as the (name, message) pair that
 errors.py classifies. send() retries only an InfraError, with exponential
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 from . import serialization
 from .clock import Clock
@@ -183,6 +184,7 @@ class Transport:
     def dispatch(self, message, execute) -> CommandResponse:
         raise NotImplementedError
 
+    # No transport acts on this any more; perfbench/tracer.py wraps it by name.
     def on_service_registered(self, service: str, execute) -> None:
         pass
 
@@ -216,39 +218,35 @@ class SerializedLocalTransport(RpcTransport):
     """The rpc transport at zero latency: a direct call through the byte encoding."""
 
 
-class _ServiceQueue:
-    """One service's queue and its leader/followers consumer pool."""
+class _Reply:
+    """One dispatch's reply slot; the caller sets ``given_up`` when it times out."""
+
+    __slots__ = ("arrived", "wire", "given_up")
 
     def __init__(self):
-        self.items: deque = deque()  # (arrived_ns, command_id, wire)
-        self.lock = threading.Lock()
-        self.arrived = threading.Condition(self.lock)  # the leader parks here
-        self.promoted = threading.Condition(self.lock)  # idle followers park here
-        self.has_leader = False
-        self.idle = 0
-        self.consumers: list[threading.Thread] = []
+        self.arrived = threading.Event()
+        self.wire = None
+        self.given_up = False
 
 
 class BrokerTransport(Transport):
-    """Per-service queues taken by event-driven consumers; responses correlate by id.
+    """Per-service pools of parked consumers; each reply goes to its caller's slot.
 
-    Each service queue has a leader/followers pool of consumer threads. The
-    leader parks until a message is enqueued, with no timeout, so an idle
-    broker never wakes. It sleeps through the clock until the message is due,
-    promotes an idle follower to leader (or starts one when none is idle) and
-    then runs the handler itself. Handlers of one service thus run
-    concurrently, and the pool grows only when every consumer is busy, so its
-    size follows the service's peak of messages in flight.
+    A consumer is a thread parked on its own inbox, with no timeout, so an
+    idle broker never wakes. dispatch() hands the message straight to the
+    service's most recently parked consumer, or starts one when none is idle.
+    Handlers of one service thus run concurrently, and the pool grows only
+    when every consumer is busy, so its size follows the service's peak of
+    messages in flight.
 
-    A message that reaches an idle consumer is taken at the first poll tick
-    at or after its arrival, ticks falling every ``poll_ms`` from when the
-    consumer went idle; a busy consumer takes the next message as soon as its
-    handler returns. Either way the message is delivered no earlier than
-    ``delivery_ms`` after it was sent.
+    A message is taken at the first poll tick at or after it was sent, ticks
+    falling every ``poll_ms`` from when the transport started, and no earlier
+    than ``delivery_ms`` after it was sent. The consumer sleeps through the
+    clock until then.
 
-    A message whose caller has already given up (its ``command_id`` is no
-    longer pending) is dropped at delivery. A handler already running when
-    its caller times out still completes; its response is discarded.
+    A message whose caller has already given up is dropped at delivery. A
+    handler already running when its caller times out still completes; its
+    response is discarded. A send after close() fails at once.
     """
 
     def __init__(
@@ -264,110 +262,66 @@ class BrokerTransport(Transport):
         self.delivery_ms = delivery_ms
         self.poll_ms = poll_ms
         self.response_timeout_s = response_timeout_s
-        self._queues: dict[str, _ServiceQueue] = {}
-        self._pending: dict[int, tuple[threading.Event, list]] = {}
-        self._pending_lock = threading.Lock()
+        self._started_ns = clock.now_ns()
+        self._idle: dict[str, list[SimpleQueue]] = {}
+        self._consumers: list[tuple[threading.Thread, SimpleQueue]] = []
+        self._lock = threading.Lock()
         self._closed = False
 
-    def on_service_registered(self, service: str, execute) -> None:
-        if service in self._queues:
-            return
-        queue = _ServiceQueue()
-        self._queues[service] = queue
-        with queue.lock:
-            self._start_consumer(service, queue, execute)
-
-    def _start_consumer(self, service, queue, execute) -> None:
-        """Add a consumer to the pool; the caller holds ``queue.lock``."""
-        consumer = threading.Thread(
-            target=self._consume,
-            args=(service, queue, execute, self._clock.now_ns()),
-            name=f"broker-poller-{service}",
-            daemon=True,
-        )
-        queue.consumers.append(consumer)
-        consumer.start()
-
-    def _consume(self, service, queue, execute, idle_since_ns):
-        poll_ns = self.poll_ms * 1e6
-        delivery_ns = self.delivery_ms * 1e6
-        leading = False
-        while True:
-            with queue.lock:
-                if not leading:
-                    queue.idle += 1
-                    while queue.has_leader and not self._closed:
-                        queue.promoted.wait()
-                    queue.idle -= 1
-                    queue.has_leader = leading = True
-                while not queue.items and not self._closed:
-                    queue.arrived.wait()
-                if self._closed:
-                    return
-                arrived_ns, command_id, wire = queue.items.popleft()
-            # The first poll tick at or after arrival, counted from idle.
-            ticks = max(0, math.ceil((arrived_ns - idle_since_ns) / poll_ns))
-            due_ns = max(idle_since_ns + ticks * poll_ns, arrived_ns + delivery_ns)
-            remaining_ms = (due_ns - self._clock.now_ns()) / 1e6
-            if remaining_ms > 0:
-                self._clock.sleep_ms(remaining_ms)
-            with self._pending_lock:
-                if command_id not in self._pending:
-                    continue  # the caller gave up: drop it and keep leading
-            with queue.lock:
-                queue.has_leader = leading = False
-                if queue.idle:
-                    queue.promoted.notify()
-                elif not self._closed:
-                    self._start_consumer(service, queue, execute)
-            message = WireMessage.from_wire(serialization.decode(wire))
-            response = execute(message)
-            try:
-                response_wire = serialization.encode(response.to_wire())
-            except SerializationError as exc:
-                response = CommandResponse(
-                    command_id, error_name=type(exc).__name__, error_message=str(exc))
-                response_wire = serialization.encode(response.to_wire())
-            with self._pending_lock:
-                waiter = self._pending.get(command_id)
-            if waiter is not None:
-                event, slot = waiter
-                slot.append(response_wire)
-                event.set()
-            idle_since_ns = self._clock.now_ns()
+    def _consume(self, service, inbox):
+        while (job := inbox.get()) is not None:
+            reply, wire, due_ns, execute = job
+            self._clock.sleep_ms((due_ns - self._clock.now_ns()) / 1e6)
+            if not reply.given_up:
+                response = execute(WireMessage.from_wire(serialization.decode(wire)))
+                try:
+                    reply.wire = serialization.encode(response.to_wire())
+                except SerializationError as exc:
+                    response = CommandResponse(
+                        response.command_id, error_name=type(exc).__name__,
+                        error_message=str(exc))
+                    reply.wire = serialization.encode(response.to_wire())
+                reply.arrived.set()
+            with self._lock:
+                self._idle[service].append(inbox)
 
     def dispatch(self, message, execute) -> CommandResponse:
-        command = message.inner
-        service = command.target_service
-        queue = self._queues[service]
-        event = threading.Event()
-        slot: list = []
-        with self._pending_lock:
-            self._pending[command.command_id] = (event, slot)
-        try:
-            wire = serialization.encode(message.to_wire())
-            with queue.lock:
-                queue.items.append((self._clock.now_ns(), command.command_id, wire))
-                queue.arrived.notify()
-            if not event.wait(self.response_timeout_s):
-                raise ServiceUnavailable(
-                    f"no response from {service} within {self.response_timeout_s}s"
-                )
-        finally:
-            with self._pending_lock:
-                self._pending.pop(command.command_id, None)
+        service = message.inner.target_service
+        wire = serialization.encode(message.to_wire())
+        sent_ns = self._clock.now_ns()
+        poll_ns = self.poll_ms * 1e6
+        ticks = math.ceil((sent_ns - self._started_ns) / poll_ns)
+        due_ns = max(self._started_ns + ticks * poll_ns, sent_ns + self.delivery_ms * 1e6)
+        reply = _Reply()
+        with self._lock:
+            if self._closed:
+                raise ServiceUnavailable(f"broker closed: no delivery to {service}")
+            idle = self._idle.setdefault(service, [])
+            if idle:
+                inbox = idle.pop()
+            else:
+                inbox = SimpleQueue()
+                consumer = threading.Thread(
+                    target=self._consume, args=(service, inbox),
+                    name=f"broker-poller-{service}", daemon=True)
+                self._consumers.append((consumer, inbox))
+                consumer.start()
+            # Under the lock, so close() cannot put its stop marker first.
+            inbox.put((reply, wire, due_ns, execute))
+        if not reply.arrived.wait(self.response_timeout_s):
+            reply.given_up = True
+            raise ServiceUnavailable(
+                f"no response from {service} within {self.response_timeout_s}s"
+            )
         self._clock.sleep_ms(self.delivery_ms)
-        return CommandResponse.from_wire(serialization.decode(slot[0]))
+        return CommandResponse.from_wire(serialization.decode(reply.wire))
 
     def close(self) -> None:
-        self._closed = True
-        consumers = []
-        for queue in self._queues.values():
-            with queue.lock:
-                queue.arrived.notify_all()
-                queue.promoted.notify_all()
-                consumers += queue.consumers
-        for consumer in consumers:
+        with self._lock:
+            self._closed = True
+            for _, inbox in self._consumers:
+                inbox.put(None)
+        for consumer, _ in self._consumers:
             consumer.join(timeout=1.0)
 
 
@@ -419,14 +373,11 @@ class CommandGateway:
         else:
             raise InvalidLatencySpec(f"unknown transport mode: {mode}")
         self._transport = transport
-        for service in self._handlers:
-            transport.on_service_registered(service, self._execute)
 
     def register_handler(self, service: str, handler, decorators=()) -> None:
         if service in self._handlers:
             raise DuplicateRegistration(f"handler already registered for {service}")
         self._handlers[service] = _compose(tuple(decorators), handler)
-        self._transport.on_service_registered(service, self._execute)
 
     # -- dispatch ----------------------------------------------------------
 

@@ -37,8 +37,8 @@ class Simulator:
         self.recorder = SpanRecorder(self.clock)
         self.impairment = ImpairmentHandler(
             report_path=config.impairment_report_path, errors=self.errors)
-        # Before any handler starts a broker consumer, so a malformed plan
-        # leaves no thread behind.
+        # Before the gateway and its transport exist, so a malformed plan
+        # fails with nothing left to close.
         self._register_sample_errors()
         if config.impairment_plan_dir:
             self.impairment.load_dir(config.impairment_plan_dir)

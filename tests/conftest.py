@@ -6,6 +6,19 @@ import pytest
 from msim import SimConfig, Simulator
 
 
+@pytest.fixture(autouse=True)
+def no_broker_consumer_left_running():
+    """Fail a test that leaves a broker consumer running: it forgot close().
+
+    Parked consumers wait for work until their broker is closed.
+    """
+    yield
+    for thread in threading.enumerate():
+        if thread.name.startswith("broker-poller-"):
+            thread.join(2.0)
+            assert not thread.is_alive(), f"{thread.name} still running; close the broker"
+
+
 @pytest.fixture
 def make_sim():
     """Factory for simulators that are closed on test teardown."""

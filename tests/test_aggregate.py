@@ -1,3 +1,4 @@
+import sys
 import threading
 from dataclasses import FrozenInstanceError, replace
 
@@ -212,13 +213,50 @@ def test_prev_links_terminate():
     assert cursor.version == 2
 
 
-def test_install_batch_is_atomic_reference_swap():
+def test_install_batch_is_all_or_nothing():
     store = SimulationStore()
     recs = [make_tournament(aggregate_id=i, version=1) for i in (1, 2, 3)]
-    state_before = store._state
+    for stage in ("install:record:0", "install:record:1", "install:record:2",
+                  "install:swap"):
+        def crash(at, stage=stage):
+            if at == stage:
+                raise InjectedCrash(at)
+
+        with pytest.raises(InjectedCrash):
+            store.install(records=recs, stage_hook=crash)
+        assert not any(store.exists(i) for i in (1, 2, 3)), stage
     store.install(records=recs)
-    assert store._state is not state_before
     assert all(store.latest(i).version == 1 for i in (1, 2, 3))
+
+
+def test_readers_iterate_while_installs_add_aggregates():
+    # A short switch interval makes the installer grow the record dict in
+    # the middle of a reader's pass over it.
+    store = SimulationStore()
+    done = threading.Event()
+    errors = []
+
+    def reader():
+        try:
+            while not done.is_set():
+                store.ids_of_type(Tournament.aggregate_type)
+                sum(1 for _ in store.all_records())
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        for i in range(1, 2001):
+            store.install(records=[make_tournament(aggregate_id=i, version=1)])
+    finally:
+        done.set()
+        thread.join()
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(store.ids_of_type(Tournament.aggregate_type)) == 2000
 
 
 # -- subscriptions -----------------------------------------------------------

@@ -469,9 +469,63 @@ def test_broker_close_stops_every_consumer():
     def consumers():
         return [t for t in threading.enumerate() if t.name == "broker-poller-closing"]
 
-    assert len(consumers()) > 1  # followers started under load
+    assert len(consumers()) > 1  # consumers started under load
     gw.close()
     assert consumers() == []
+
+
+def test_broker_reuses_its_parked_consumer():
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    ran_on = []
+    gw.register_handler("svc", lambda c: ran_on.append(threading.current_thread()) or {})
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1)
+    try:
+        for _ in range(20):
+            gw.send(cmd(service="svc"))
+        pollers = [t for t in threading.enumerate() if t.name == "broker-poller-svc"]
+        assert len(pollers) == 1
+        assert set(ran_on) == set(pollers)
+    finally:
+        gw.close()
+
+
+def test_broker_reuses_the_consumer_of_a_timed_out_handler(monkeypatch):
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    ran_on, finished = [], threading.Event()
+
+    def handler(c):
+        ran_on.append(threading.current_thread())
+        if c.payload.get("slow"):
+            time.sleep(0.2)
+            finished.set()
+        return {"slow": c.payload.get("slow", False)}
+
+    gw.register_handler("svc", handler)
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1, response_timeout_s=0.05)
+    try:
+        with pytest.raises(ServiceUnavailable):
+            gw.send(cmd(service="svc", payload={"slow": True}))
+        assert finished.wait(2.0)
+        time.sleep(0.05)  # the consumer parks again once its reply is discarded
+        assert gw.send(cmd(service="svc")) == {"slow": False}
+    finally:
+        gw.close()
+    assert len(ran_on) == 2 and ran_on[0] is ran_on[1]
+    assert raised == []
+
+
+def test_broker_send_after_close_fails_at_once():
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    gw.register_handler("svc", lambda c: {})
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1, response_timeout_s=5.0)
+    gw.send(cmd(service="svc"))
+    gw.close()
+    start = time.monotonic()
+    with pytest.raises(ServiceUnavailable):
+        gw.send(cmd(service="svc"))
+    assert time.monotonic() - start < 0.5
 
 
 # -- envelopes ---------------------------------------------------------------------

@@ -289,32 +289,37 @@ def park_committer_at(sim, uow, stage):
     return thread, release
 
 
-def test_read_only_commit_reserves_no_version_and_leaves_store(causal_sim):
+def forbid_install(sim, monkeypatch):
+    def install(*args, **kwargs):
+        raise AssertionError("a read-only commit installed into the store")
+
+    monkeypatch.setattr(sim.store, "install", install)
+
+
+def test_read_only_commit_reserves_no_version_and_leaves_store(causal_sim, monkeypatch):
     sim = causal_sim
     execution_id, tournament_id, _, _ = seed_basic(sim)
     uow = read_only_uow(sim, execution_id, tournament_id)
     stages = []
     sim.transactions.commit_stage_hook = stages.append
     counter = sim.versioning.get_version_number()
-    state = sim.store._state
+    forbid_install(sim, monkeypatch)
     sim.transactions.commit(uow)
     assert uow.status is UowStatus.COMMITTED
     assert sim.versioning.get_version_number() == counter
-    assert sim.store._state is state
     assert stages == []
 
 
-def test_repeated_read_only_commit_is_a_no_op(causal_sim):
+def test_repeated_read_only_commit_is_a_no_op(causal_sim, monkeypatch):
     sim = causal_sim
     _, tournament_id, _, _ = seed_basic(sim)
     uow = read_only_uow(sim, tournament_id)
     counter = sim.versioning.get_version_number()
-    state = sim.store._state
+    forbid_install(sim, monkeypatch)
     for _ in range(2):
         sim.transactions._do_commit(uow)
         assert uow.status is UowStatus.COMMITTED
         assert sim.versioning.get_version_number() == counter
-        assert sim.store._state is state
 
 
 def test_read_only_commit_does_not_wait_for_the_commit_section(causal_sim):
