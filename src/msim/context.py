@@ -2,7 +2,8 @@
 
 Carries the (functionality, step) pair and the active trace span while a
 workflow step runs, so the command gateway can stamp outgoing commands
-without the application threading these values through every call.
+without the application threading these values through every call, and
+the broker delivery whose handler the thread runs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ class _Ambient(threading.local):
         self.functionality = None
         self.step = None
         self.trace_parent = None
+        self.delivery = None
 
 
 ambient = _Ambient()

@@ -12,15 +12,17 @@ single gateway interface. The transport behind it is configuration:
 * broker           -- serialized, handed to a parked consumer of the target
   service (one is started when none is idle), so one service's handlers run
   concurrently; each reply goes back to its caller's own slot. Poll ticks
-  and delivery latency are waited out through the clock, and a message
-  whose caller gave up is dropped.
+  and delivery latency are waited out through the clock. A message whose
+  caller gave up is dropped, and a handler that outlives its caller makes
+  no further effect.
 
 A handler's exception comes back as the (name, message) pair that
 errors.py classifies. send() retries only an InfraError, with exponential
 backoff, and then raises ServiceUnavailable (an InfraError an enclosing
 call may retry); any other error, or an unknown service, fails at once. A
-broker reply timeout is not retried: a retry would reuse the command id,
-so the first message, still queued, could run as well.
+broker reply timeout is not retried: the handler may have made its effect
+just before its caller gave up, with only its reply late, and a retry
+would make that effect again.
 """
 
 from __future__ import annotations
@@ -219,14 +221,30 @@ class SerializedLocalTransport(RpcTransport):
 
 
 class _Reply:
-    """One dispatch's reply slot; the caller sets ``given_up`` when it times out."""
+    """One dispatch's reply slot, which also records its command's fate.
 
-    __slots__ = ("arrived", "wire", "given_up")
+    The caller sets ``given_up`` under ``lock`` when it times out. The slot
+    is its consumer's ``ambient.delivery`` while the handler runs, and each
+    effect is made inside ``with`` the slot, which refuses it once the
+    caller gave up.
+    """
+
+    __slots__ = ("arrived", "wire", "given_up", "lock")
 
     def __init__(self):
         self.arrived = threading.Event()
         self.wire = None
         self.given_up = False
+        self.lock = threading.Lock()
+
+    def __enter__(self):
+        self.lock.acquire()
+        if self.given_up:
+            self.lock.release()
+            raise SimulatorError("the caller gave up on this command; effect refused")
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
 
 
 class BrokerTransport(Transport):
@@ -245,8 +263,9 @@ class BrokerTransport(Transport):
     clock until then.
 
     A message whose caller has already given up is dropped at delivery. A
-    handler already running when its caller times out still completes; its
-    response is discarded. A send after close() fails at once.
+    handler already running when its caller times out still completes, but
+    makes no effect after the give-up, and its response is discarded. A send
+    after close() fails at once.
     """
 
     def __init__(
@@ -273,7 +292,9 @@ class BrokerTransport(Transport):
             reply, wire, due_ns, execute = job
             self._clock.sleep_ms((due_ns - self._clock.now_ns()) / 1e6)
             if not reply.given_up:
+                ambient.delivery = reply
                 response = execute(WireMessage.from_wire(serialization.decode(wire)))
+                ambient.delivery = None
                 try:
                     reply.wire = serialization.encode(response.to_wire())
                 except SerializationError as exc:
@@ -309,7 +330,8 @@ class BrokerTransport(Transport):
             # Under the lock, so close() cannot put its stop marker first.
             inbox.put((reply, wire, due_ns, execute))
         if not reply.arrived.wait(self.response_timeout_s):
-            reply.given_up = True
+            with reply.lock:
+                reply.given_up = True
             raise ServiceUnavailable(
                 f"no response from {service} within {self.response_timeout_s}s"
             )

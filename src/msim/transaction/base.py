@@ -48,18 +48,9 @@ class UnitOfWork:
     events: list = field(default_factory=list)
     # saga state
     locks: list = field(default_factory=list)  # LockRecord, acquisition order
-    # Set, under step_lock, once abort begins: the unit of work then takes
-    # no new lock, and a step it left open installs nothing.
-    aborting: bool = False
-    # Held across a saga write's check that its step is still open and its
-    # install, and while abort begins, so no step installs once abort has.
-    step_lock: threading.Lock = field(default_factory=threading.Lock)
     compensations: list = field(default_factory=list)  # (label, callable)
     # causal state
     read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record read
-    # saga step buffers: the open StepFrame of each running handler, in
-    # opening order, since handler scopes may nest
-    step_frames: list = field(default_factory=list)
 
 
 class FifoGate:

@@ -2,7 +2,7 @@
 compensating transactions.
 
 Each service invocation is a local transaction: changes registered during a
-command handler buffer in a step frame and install atomically when the
+command handler buffer in its step frame and install atomically when the
 handler finishes, so intermediate states become visible step by step while
 a handler failure discards only that step's writes. Isolation comes from
 semantic locks: the saga state travels on the aggregate's version chain,
@@ -10,15 +10,21 @@ and a command whose envelope forbids the current state is rejected with a
 retryable conflict, queuing conflicting functionalities behind the gateway
 backoff. The wait for a forbidden state to clear is bounded and FIFO per
 aggregate: it goes through the FifoGate shared with the causal commit
-section. Commit releases the locks. Abort first discards every step still
-open, so a handler that outlived its caller installs nothing, then runs
-the registered compensations in reverse order, each writing a new
-committed version that restores the pre-saga domain state.
+section. Commit releases the locks. Abort runs the registered compensations
+in reverse order, each writing a new committed version that restores the
+pre-saga domain state, then releases the locks.
+
+A handler has two effects: taking a semantic lock and installing its step.
+A broker handler makes each under its delivery's lock, and neither once its
+caller gave up, so a handler that outlives its caller's timeout changes
+nothing the abort would not undo. Unlock writes are never refused, so an
+aggregate is always unlocked.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..aggregate import NOT_IN_SAGA
@@ -28,22 +34,28 @@ from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope
 from .base import FifoGate, LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
 
 
-@dataclass(eq=False)
+@dataclass
 class StepFrame:
-    """The buffered writes of one handler invocation, on the thread running it."""
+    """The buffered writes of one handler invocation."""
 
-    thread: int = field(default_factory=threading.get_ident)
     records: list = field(default_factory=list)
     events: list = field(default_factory=list)
 
 
-def _open_frame(uow: UnitOfWork) -> StepFrame | None:
-    """The calling thread's innermost open step frame of uow, if any."""
-    thread = threading.get_ident()
-    for frame in reversed(uow.step_frames):
-        if frame.thread == thread:
-            return frame
-    return None
+class _Running(threading.local):
+    """The step frame of the saga handler running on this thread, if any."""
+
+    frame: StepFrame | None = None
+
+
+_running = _Running()
+
+
+def _effect():
+    """Hold the running broker delivery while a saga effect is made; it
+    refuses the effect once the caller gave up. A handler running on its
+    caller's thread has no delivery and is never refused."""
+    return ambient.delivery or nullcontext()
 
 
 def _drop_writes(uow: UnitOfWork, frame: StepFrame) -> None:
@@ -82,49 +94,26 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         self._persist(uow, events=[event])
 
     def _persist(self, uow: UnitOfWork, records=(), events=()) -> None:
-        """Buffer a write in the calling handler's step frame, or install it
-        at once outside any handler. A handler whose frame the abort
-        discarded also finds none, so an aborting unit of work refuses it:
-        that write would land after its caller gave up."""
-        frame = _open_frame(uow)
+        """Buffer a write in the running handler's step frame, or install it
+        at once outside any handler."""
+        frame = _running.frame
         if frame is not None:
             frame.records.extend(records)
             frame.events.extend(events)
             return
-        with uow.step_lock:
-            if uow.aborting:
-                raise SimulatorError(f"unit of work {uow.uow_id} is aborting; write refused")
-            self._store.install(records=records, events=self._outbox_entries(uow, events),
-                                stage_hook=self._hook)
-
-    # -- step frames: the local transaction of one service invocation ------
-
-    def open_step(self, uow: UnitOfWork) -> StepFrame:
-        frame = StepFrame()
-        uow.step_frames.append(frame)
-        return frame
+        self._store.install(records=records, events=self._outbox_entries(uow, events),
+                            stage_hook=self._hook)
 
     def flush_step(self, uow: UnitOfWork, frame: StepFrame) -> None:
-        """Install the frame's writes, unless abort discarded the frame."""
-        with uow.step_lock:
-            if frame not in uow.step_frames:
-                raise SimulatorError(
-                    f"unit of work {uow.uow_id} aborted while the step ran; step discarded")
-            uow.step_frames.remove(frame)
-            if frame.records or frame.events:
+        """Install a handler's step, the local transaction of one service
+        invocation, unless its caller gave up."""
+        if frame.records or frame.events:
+            with _effect():
                 self._store.install(
                     records=frame.records,
                     events=self._outbox_entries(uow, frame.events),
                     stage_hook=self._hook,
                 )
-
-    def discard_step(self, uow: UnitOfWork, frame: StepFrame) -> None:
-        """Drop the frame's writes; a no-op once abort discarded the frame."""
-        with uow.step_lock:
-            if frame not in uow.step_frames:
-                return
-            uow.step_frames.remove(frame)
-        _drop_writes(uow, frame)
 
     # -- semantic locks ------------------------------------------------------
 
@@ -141,22 +130,21 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         Waits up to lock_wait_ms, in FIFO order per aggregate, for a
         forbidden state to clear (woken by unlock writes) before surfacing
         SemanticLockConflict; the conflict is infrastructure-classified so
-        the gateway queues the caller with backoff. A unit of work whose
-        abort has begun takes no new lock: a handler still waiting when
-        its caller gave up must not lock the aggregate for good.
+        the gateway queues the caller with backoff. A handler still waiting
+        when its caller gave up takes no lock: the caller's abort may
+        already have released its locks.
         """
         if any(lock.aggregate_id == aggregate_id for lock in uow.locks):
             return  # re-entrant: this saga already holds the lock
 
         def try_acquire():
-            if uow.aborting:
-                raise SimulatorError(f"unit of work {uow.uow_id} takes no new locks")
-            latest = self._store.latest_committed(aggregate_id)
-            if latest.saga_state in forbidden_states:
-                return False
-            self._install_saga_state(latest, acquire_state)
-            uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
-            return True
+            with _effect():
+                latest = self._store.latest_committed(aggregate_id)
+                if latest.saga_state in forbidden_states:
+                    return False
+                self._install_saga_state(latest, acquire_state)
+                uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
+                return True
 
         self._gate.enter(
             aggregate_id, try_acquire, self.lock_wait_ms,
@@ -196,8 +184,6 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         """
         if uow.status is UowStatus.COMMITTED:
             return
-        for frame in list(uow.step_frames):
-            self.flush_step(uow, frame)
         while uow.locks:
             self._write_saga_state(uow.locks[-1].aggregate_id, NOT_IN_SAGA)
             uow.locks.pop()
@@ -205,34 +191,19 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         uow.status = UowStatus.COMMITTED
 
     def _do_abort(self, uow: UnitOfWork) -> None:
-        """Discard open steps, run compensations in reverse registration
-        order, then unlock.
+        """Run compensations in reverse registration order, then unlock.
 
-        Abort first marks the unit of work aborting: a step still open, whose
-        handler outlived its caller, then installs nothing, and no new lock
-        is taken; the compensations' own steps open later and install. A
-        failing compensation is recorded and the remaining ones still run,
-        maximizing the amount of restored state. Compensations and released
-        locks are taken off the unit of work as they run, so an abort retried
-        after a failed unlock write only finishes the remaining unlocks.
+        Every command of the unit of work has by now replied or been given
+        up, and a handler whose caller gave up neither locks nor installs,
+        so the drain below releases every lock, a compensation's own
+        included. A failing compensation is recorded and the remaining ones
+        still run, maximizing the amount of restored state. Compensations
+        and released locks are taken off the unit of work as they run, so an
+        abort retried after a failed unlock write only finishes the
+        remaining unlocks.
         """
         if uow.status is not UowStatus.ACTIVE:
             return
-        with uow.step_lock:
-            uow.aborting = True
-            discarded = list(uow.step_frames)
-            uow.step_frames.clear()
-        for frame in discarded:
-            _drop_writes(uow, frame)
-        # A lock request that read aborting before it was set holds the
-        # gate's lock until its lock is on uow.locks, so passing through the
-        # gate waits it out before the drain below reads uow.locks; later
-        # requests, the waiters woken here included, are refused. A commit
-        # needs no such step: it follows only steps whose commands all
-        # returned, so no lock request of uow is in flight, and it keeps
-        # read-only commits off the gate.
-        with self._gate.changed():
-            pass
         compensations, uow.compensations = uow.compensations, []
         for label, action in reversed(compensations):
             span_id = None
@@ -262,8 +233,9 @@ class SagaCommandDecorator(CommandHandlerDecorator):
 
     Enforces semantic locks declared on the envelope before the handler
     runs, and scopes the handler invocation as one local transaction:
-    registered changes install atomically on success and are discarded on
-    failure.
+    registered changes buffer in the invocation's own step frame, the
+    running frame of its thread (saved and restored, so handlers nest), and
+    install atomically on success or are discarded on failure.
     """
 
     def __init__(self, service: SagaUnitOfWorkService):
@@ -272,9 +244,8 @@ class SagaCommandDecorator(CommandHandlerDecorator):
     def handle(self, message, proceed):
         command = message.inner
         uow = self._service.lookup(command.unit_of_work_ref)
-        # Opened before the lock wait, so an abort that begins while this
-        # handler runs always finds and discards its frame.
-        frame = self._service.open_step(uow)
+        outer, frame = _running.frame, StepFrame()
+        _running.frame = frame
         try:
             if isinstance(message, SagaCommandEnvelope):
                 self._service.acquire_semantic_lock(
@@ -284,8 +255,10 @@ class SagaCommandDecorator(CommandHandlerDecorator):
                     message.acquire_state,
                 )
             result = proceed(command)
+            self._service.flush_step(uow, frame)
         except BaseException:
-            self._service.discard_step(uow, frame)
+            _drop_writes(uow, frame)
             raise
-        self._service.flush_step(uow, frame)
+        finally:
+            _running.frame = outer
         return result

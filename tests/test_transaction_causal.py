@@ -225,8 +225,12 @@ def test_post_merge_invariant_failure_converts_to_abort(causal_sim):
     assert set(sim.store.latest(tournament_id).participants) == {u1}
 
 
-def test_unresolvable_merge_aborts(causal_sim):
-    sim = causal_sim
+@pytest.mark.parametrize("versioning", ["centralized", "centralized-remote"])
+def test_unresolvable_merge_aborts(make_sim, versioning):
+    # The failed commit hands its reserved version back to the counter, over
+    # the transport when the counter is remote.
+    sim = make_sim(transaction_model="tcc", tcc_commit_store_ms=0.0,
+                   versioning_strategy=versioning)
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     uow_a = sim.transactions.create_unit_of_work()
     uow_b = sim.transactions.create_unit_of_work()
@@ -237,8 +241,10 @@ def test_unresolvable_merge_aborts(causal_sim):
     t_b.max_participants = 60
     sim.transactions.register_changed(uow_b, t_b)
     sim.transactions.commit(uow_a)
+    counter = sim.versioning.get_version_number()
     with pytest.raises(MergeConflictUnresolvable):
         sim.transactions.commit(uow_b)
+    assert sim.versioning.get_version_number() == counter
     assert sim.store.latest(tournament_id).max_participants == 50
 
 

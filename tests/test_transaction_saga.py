@@ -428,6 +428,40 @@ def test_no_step_installs_after_its_unit_of_work_aborted(make_sim, monkeypatch):
     assert latest.saga_state == NOT_IN_SAGA
 
 
+def test_no_step_installs_after_its_caller_gave_up(make_sim, monkeypatch):
+    # The handler ends after its caller's 0.2-s timeout (100-ms delivery plus
+    # 150 ms of work) but before the abort reaches the saga service (sent at
+    # 0.2 s, delivered 100 ms later). Its step registered no compensation, so
+    # it must install nothing; only the lock and its release are written.
+    sim = make_sim(transaction_model="saga", transport_mode="local",
+                   retry_max_attempts=1, clock_mode="real")
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    # Seeded over the local transport: a 100-ms delivery makes seeding slow.
+    sim.gateway.configure_transport(
+        "broker", delivery_ms=100.0, poll_ms=1.0, response_timeout_s=0.2)
+    versions_before = sim.store.versions(tournament_id)
+    original = TournamentService._ops["AddParticipant"]
+    finished = threading.Event()
+
+    def late_add(self, uow, payload):
+        try:
+            time.sleep(0.15)
+            return original(self, uow, payload)
+        finally:
+            finished.set()
+
+    monkeypatch.setitem(TournamentService._ops, "AddParticipant", late_add)
+    with pytest.raises(ServiceUnavailable):
+        sim.app.add_participant(tournament_id, execution_id, user_ids[0])
+    assert finished.wait(5)
+    time.sleep(0.05)  # let the handler's step end after its body returned
+    versions = sim.store.versions(tournament_id)
+    assert len(versions) == len(versions_before) + 2
+    latest = sim.store.latest(tournament_id)
+    assert user_ids[0] not in latest.participants
+    assert latest.saga_state == NOT_IN_SAGA
+
+
 def test_saga_chains_are_never_compacted(saga_sim):
     sim = saga_sim
     execution_id, _, _, user_ids = seed_basic(sim)

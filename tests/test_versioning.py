@@ -48,6 +48,18 @@ def test_decrement_underflow():
         CentralizedVersionService().decrement_version_number()
 
 
+def test_db_latency_paid_once_per_counter_operation():
+    clock = VirtualClock()
+    svc = CentralizedVersionService(clock=clock, db_latency_ms=5)
+    svc.increment_and_get_version_number()
+    svc.get_version_number()
+    svc.decrement_version_number()
+    assert clock.now_ns() == 15_000_000
+    with pytest.raises(CounterUnderflow):
+        svc.decrement_version_number()
+    assert clock.now_ns() == 15_000_000
+
+
 def test_concurrent_increments_are_distinct_and_gap_free():
     # Linearizable-counter oracle: an increment-only history observes
     # every value in the range exactly once, in some order.
