@@ -28,15 +28,6 @@ _HEADER = "functionality,step,invocation_index,action,value"
 
 
 @dataclass(frozen=True)
-class ImpairmentRule:
-    functionality: str
-    step: str
-    invocation_index: int
-    action: str  # DELAY | FAIL
-    value: object  # delay ms (int) or error name (str)
-
-
-@dataclass(frozen=True)
 class ImpairmentAction:
     kind: str  # "delay" | "fail"
     delay_ms: int = 0
@@ -60,7 +51,9 @@ class ImpairmentHandler:
         self._lock = threading.Lock()
         # FAIL names must rebuild into a registered error when the rule fires.
         self._errors = errors if errors is not None else default_registry()
-        self._rules: list[ImpairmentRule] = []
+        # (functionality, step, invocation_index) -> (action, value); the
+        # first rule loaded for a key wins.
+        self._rules: dict[tuple[str, str, int], tuple[str, object]] = {}
         self._counters: dict[tuple[str, str], int] = {}
         self._report: list[dict] = []
         self.report_path = report_path
@@ -68,7 +61,8 @@ class ImpairmentHandler:
     # -- plan loading --------------------------------------------------
 
     def load_plan(self, path) -> int:
-        """Parse one CSV plan. Adds its rules and resets all counters."""
+        """Parse one CSV plan. Adds its rules for keys no earlier rule holds,
+        resets all counters and returns the number of rows parsed."""
         rules = []
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or lines[0].strip() != _HEADER:
@@ -94,17 +88,18 @@ class ImpairmentHandler:
                     raise MalformedPlan(line_no, f"bad delay value: {value_s!r}")
                 if delay < 0:
                     raise MalformedPlan(line_no, "DELAY value must be >= 0")
-                rules.append(ImpairmentRule(functionality, step, index, "DELAY", delay))
+                rules.append(((functionality, step, index), ("DELAY", delay)))
             elif action == "FAIL":
                 if not value_s:
                     raise MalformedPlan(line_no, "FAIL requires an error name")
                 if value_s not in self._errors:
                     raise MalformedPlan(line_no, f"unregistered error name: {value_s!r}")
-                rules.append(ImpairmentRule(functionality, step, index, "FAIL", value_s))
+                rules.append(((functionality, step, index), ("FAIL", value_s)))
             else:
                 raise MalformedPlan(line_no, f"unknown action: {action!r}")
         with self._lock:
-            self._rules.extend(rules)
+            for key, rule in rules:
+                self._rules.setdefault(key, rule)
             self._counters.clear()
         return len(rules)
 
@@ -122,28 +117,25 @@ class ImpairmentHandler:
             key = (functionality, step)
             count = self._counters.get(key, 0) + 1
             self._counters[key] = count
-            for rule in self._rules:
-                if (
-                    rule.functionality == functionality
-                    and rule.step == step
-                    and rule.invocation_index == count
-                ):
-                    entry = {
-                        "ts": time.time(),
-                        "functionality": functionality,
-                        "step": step,
-                        "invocation": count,
-                        "action": rule.action,
-                        "value": rule.value,
-                    }
-                    self._report.append(entry)
-                    if self.report_path:
-                        with open(self.report_path, "a", encoding="utf-8") as fh:
-                            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-                    if rule.action == "DELAY":
-                        return ImpairmentAction(kind="delay", delay_ms=int(rule.value))
-                    return ImpairmentAction(kind="fail", error_name=str(rule.value))
-        return None
+            rule = self._rules.get((functionality, step, count))
+            if rule is None:
+                return None
+            action, value = rule
+            entry = {
+                "ts": time.time(),
+                "functionality": functionality,
+                "step": step,
+                "invocation": count,
+                "action": action,
+                "value": value,
+            }
+            self._report.append(entry)
+            if self.report_path:
+                with open(self.report_path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        if action == "DELAY":
+            return ImpairmentAction(kind="delay", delay_ms=value)
+        return ImpairmentAction(kind="fail", error_name=value)
 
     def report_entries(self) -> list[dict]:
         with self._lock:

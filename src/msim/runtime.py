@@ -28,11 +28,12 @@ from .versioning import (
 
 
 class Simulator:
-    def __init__(self, config: SimConfig | None = None, **overrides):
-        if config is None:
-            config = SimConfig(**overrides)
+    def __init__(self, config: SimConfig):
         self.config = config
-        self.clock = VirtualClock() if config.clock_mode == "virtual" else RealClock()
+        # Virtual time starts 1 ms after the origin: a snowflake id issued at
+        # 0 ms by machine 0 is 0, the version that marks a working copy.
+        self.clock = (VirtualClock(start_ns=1_000_000) if config.clock_mode == "virtual"
+                      else RealClock())
         self.errors = default_registry()
         self.recorder = SpanRecorder(self.clock)
         self.impairment = ImpairmentHandler(

@@ -1,11 +1,13 @@
 """Unit-of-work lifecycle shared by both transactional models.
 
 A UnitOfWork is the transaction context passed through a functionality's
-command chain: it tracks loaded and changed aggregates, events emitted, and
-the model-specific coordination state (saga locks and compensations, or the
-causal read cache). The service owning it decides when changes become
-visible: sagas persist at the end of every service invocation, causal
-transactions stage everything until commit. It also wraps each application
+command chain: it carries the model-specific state (saga locks and
+compensations, or the causal staged changes, events and read cache). The
+service owning it decides when changes become visible: a saga installs each
+handler's step when the handler finishes, a causal transaction stages
+everything until commit. Either way an event installs in the same atomic
+batch as its publisher's changed version, and registering one whose
+publisher that batch lacks raises. The service also wraps each application
 command for its model before the command is sent (``envelope``) and decides
 whether a step's compensation is kept, so application code names no model.
 
@@ -44,12 +46,12 @@ class UnitOfWork:
     uow_id: int
     snapshot_version: int = 0
     status: UowStatus = UowStatus.ACTIVE
-    changed: dict = field(default_factory=dict)  # aggregate_id -> working copy
-    events: list = field(default_factory=list)
     # saga state
     locks: list = field(default_factory=list)  # LockRecord, acquisition order
     compensations: list = field(default_factory=list)  # (label, callable)
     # causal state
+    changed: dict = field(default_factory=dict)  # aggregate_id -> staged working copy
+    events: list = field(default_factory=list)  # staged outbox events
     read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record read
 
 
@@ -217,13 +219,3 @@ class UnitOfWorkService:
                 with self._registry_lock:
                     self._registry.pop(uow.uow_id, None)
         return {"status": uow.status.value}
-
-    # -- shared helpers ---------------------------------------------------------
-
-    def _outbox_entries(self, uow: UnitOfWork, events) -> list:
-        events = list(events)
-        if any(event.publisher_aggregate_id not in uow.changed for event in events):
-            raise SimulatorError(
-                "event publisher is not a changed aggregate in this unit of work"
-            )
-        return events

@@ -171,10 +171,7 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                     working.prev_version = None if ancestor is None else ancestor.version
                     final_records.append(working)
                     self._hook(f"commit:staged:{aggregate_id}")
-                outbox = self._outbox_entries(
-                    uow,
-                    [e.with_publisher_version(commit_version) for e in uow.events],
-                )
+                outbox = [e.with_publisher_version(commit_version) for e in uow.events]
                 self._hook("commit:pre-install")
                 if self.commit_store_ms > 0:
                     self._clock.sleep_ms(self.commit_store_ms)

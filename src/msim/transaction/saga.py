@@ -1,18 +1,24 @@
 """Saga transaction service: semantic locks, per-step persistence,
 compensating transactions.
 
-Each service invocation is a local transaction: changes registered during a
-command handler buffer in its step frame and install atomically when the
-handler finishes, so intermediate states become visible step by step while
-a handler failure discards only that step's writes. Isolation comes from
-semantic locks: the saga state travels on the aggregate's version chain,
-and a command whose envelope forbids the current state is rejected with a
-retryable conflict, queuing conflicting functionalities behind the gateway
-backoff. The wait for a forbidden state to clear is bounded and FIFO per
-aggregate: it goes through the FifoGate shared with the causal commit
-section. Commit releases the locks. Abort runs the registered compensations
-in reverse order, each writing a new committed version that restores the
-pre-saga domain state, then releases the locks.
+Each service invocation is a local transaction: changes and events
+registered during a command handler buffer in its step frame and install as
+one atomic batch when the handler finishes, so intermediate states become
+visible step by step while a handler failure drops only that step's frame.
+The step frame is the outbox: an event is accepted only when the running
+frame holds its publisher, and is refused in any other step or outside a
+handler. A change registered outside any handler installs at once. The
+unit of work buffers nothing.
+
+Isolation comes from semantic locks: the saga state travels on the
+aggregate's version chain, and a command whose envelope forbids the current
+state is rejected with a retryable conflict, queuing conflicting
+functionalities behind the gateway backoff. The wait for a forbidden state
+to clear is bounded and FIFO per aggregate: it goes through the FifoGate
+shared with the causal commit section. Commit releases the locks. Abort
+runs the registered compensations in reverse order, each writing a new
+committed version that restores the pre-saga domain state, then releases
+the locks.
 
 A handler has two effects: taking a semantic lock and installing its step.
 A broker handler makes each under its delivery's lock, and neither once its
@@ -58,13 +64,6 @@ def _effect():
     return ambient.delivery or nullcontext()
 
 
-def _drop_writes(uow: UnitOfWork, frame: StepFrame) -> None:
-    for record in frame.records:
-        uow.changed.pop(record.aggregate_id, None)
-    for event in frame.events:
-        uow.events.remove(event)
-
-
 class SagaUnitOfWorkService(UnitOfWorkService):
     def __init__(self, *args, lock_wait_ms: float = 100.0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -77,43 +76,36 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         return self._store.latest_committed(aggregate_id).copy_for_write()
 
     def register_changed(self, uow: UnitOfWork, working_copy) -> None:
-        """Validate and persist immediately (at step-frame granularity)."""
+        """Validate and version a working copy; buffer it in the running
+        handler's step frame, or install it at once outside any handler."""
         working_copy.verify_invariants()
         working_copy.version = self._versioning.increment_and_get_version_number()
-        uow.changed[working_copy.aggregate_id] = working_copy
-        self._persist(uow, records=[working_copy])
+        frame = _running.frame
+        if frame is None:
+            self._store.install(records=[working_copy], stage_hook=self._hook)
+        else:
+            frame.records.append(working_copy)
 
     def register_event(self, uow: UnitOfWork, event) -> None:
-        publisher = uow.changed.get(event.publisher_aggregate_id)
-        if publisher is None or publisher.version == 0:
-            raise SimulatorError(
-                "register_event requires register_changed on the publisher first"
-            )
-        event = event.with_publisher_version(publisher.version)
-        uow.events.append(event)
-        self._persist(uow, events=[event])
-
-    def _persist(self, uow: UnitOfWork, records=(), events=()) -> None:
-        """Buffer a write in the running handler's step frame, or install it
-        at once outside any handler."""
+        """Buffer an event in its publisher's step: the running frame must
+        hold the publisher, whose latest copy there stamps the event."""
         frame = _running.frame
-        if frame is not None:
-            frame.records.extend(records)
-            frame.events.extend(events)
-            return
-        self._store.install(records=records, events=self._outbox_entries(uow, events),
-                            stage_hook=self._hook)
+        publisher = None if frame is None else next(
+            (record for record in reversed(frame.records)
+             if record.aggregate_id == event.publisher_aggregate_id), None)
+        if publisher is None:
+            raise SimulatorError(
+                "event publisher is not changed in the running saga step")
+        frame.events.append(event.with_publisher_version(publisher.version))
 
-    def flush_step(self, uow: UnitOfWork, frame: StepFrame) -> None:
+    def flush_step(self, frame: StepFrame) -> None:
         """Install a handler's step, the local transaction of one service
-        invocation, unless its caller gave up."""
-        if frame.records or frame.events:
+        invocation, records and events in one batch, unless its caller gave
+        up. An event always travels with its publisher's record."""
+        if frame.records:
             with _effect():
-                self._store.install(
-                    records=frame.records,
-                    events=self._outbox_entries(uow, frame.events),
-                    stage_hook=self._hook,
-                )
+                self._store.install(records=frame.records, events=frame.events,
+                                    stage_hook=self._hook)
 
     # -- semantic locks ------------------------------------------------------
 
@@ -233,9 +225,9 @@ class SagaCommandDecorator(CommandHandlerDecorator):
 
     Enforces semantic locks declared on the envelope before the handler
     runs, and scopes the handler invocation as one local transaction:
-    registered changes buffer in the invocation's own step frame, the
-    running frame of its thread (saved and restored, so handlers nest), and
-    install atomically on success or are discarded on failure.
+    registered changes and events buffer in the invocation's own step
+    frame, the running frame of its thread (saved and restored, so handlers
+    nest), and install atomically on success or are dropped on failure.
     """
 
     def __init__(self, service: SagaUnitOfWorkService):
@@ -255,10 +247,7 @@ class SagaCommandDecorator(CommandHandlerDecorator):
                     message.acquire_state,
                 )
             result = proceed(command)
-            self._service.flush_step(uow, frame)
-        except BaseException:
-            _drop_writes(uow, frame)
-            raise
+            self._service.flush_step(frame)
         finally:
             _running.frame = outer
         return result

@@ -86,6 +86,18 @@ def test_delay_rule_fires_at_second_invocation(tmp_path):
     assert action.kind == "delay" and action.delay_ms == 25
 
 
+def test_first_loaded_rule_for_a_key_fires(tmp_path):
+    handler = ImpairmentHandler()
+    handler.load_plan(write_plan(tmp_path, "f,s,1,DELAY,25\n", name="a.csv"))
+    assert handler.load_plan(write_plan(
+        tmp_path, "f,s,1,FAIL,SimulatedFault\nf,s,2,FAIL,SimulatedFault\n",
+        name="b.csv")) == 2
+    first = handler.consult("f", "s")
+    assert first.kind == "delay" and first.delay_ms == 25
+    assert handler.consult("f", "s").kind == "fail"
+    assert [e["action"] for e in handler.report_entries()] == ["DELAY", "FAIL"]
+
+
 def test_reload_resets_counters_for_identical_reruns(tmp_path):
     # Oracle: run the consult script twice around a reload; the fired
     # reports must be identical modulo timestamps.

@@ -151,3 +151,19 @@ def test_failed_construction_leaves_no_consumer_thread(tmp_path):
     with pytest.raises(MalformedPlan):
         Simulator(SimConfig(transport_mode="broker", impairment_plan_dir=str(tmp_path)))
     assert set(threading.enumerate()) <= before  # no thread left behind
+
+
+def test_saga_runs_on_snowflake_ids_under_the_virtual_clock(make_sim):
+    # At virtual time 0, machine 0's first snowflake id is 0, the version
+    # that marks an uncommitted working copy.
+    sim = make_sim(versioning_strategy="snowflake", clock_mode="virtual")
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    sim.app.add_participant(tournament_id, execution_id, user_ids[0])
+    assert str(user_ids[0]) in sim.app.get_tournament(tournament_id)["participants"]
+
+
+def test_context_manager_closes_the_broker():
+    with Simulator(SimConfig(transport_mode="broker", clock_mode="virtual")) as sim:
+        sim.app.create_user("alice")
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("broker-poller-")]

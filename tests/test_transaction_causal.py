@@ -12,6 +12,7 @@ from msim.errors import (
     MergeConflictUnresolvable,
     SimulatorError,
 )
+from msim.notification import DomainEvent
 from msim.sampleapp.domain import TournamentFull
 from msim.transaction.base import UowStatus
 from tests.conftest import queue_waiter, seed_basic
@@ -111,6 +112,21 @@ def test_latest_staged_copy_wins_within_uow(causal_sim):
     staged = uow.changed[tournament_id]
     assert staged is second
     assert set(staged.participants) == {user_ids[0], user_ids[1]}
+
+
+def test_event_of_an_unchanged_publisher_is_refused(causal_sim):
+    sim = causal_sim
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    uow = sim.transactions.create_unit_of_work()
+    stage_participant(sim, uow, tournament_id, user_ids[0])
+    with pytest.raises(SimulatorError, match="publisher"):
+        sim.transactions.register_event(uow, DomainEvent(
+            event_id=sim.notification.event_ids.new_event_id(),
+            event_type="UpdateStudentNameEvent",
+            publisher_aggregate_id=execution_id,
+            publisher_version=0,
+            payload={"user_aggregate_id": user_ids[0], "new_name": "renamed"}))
+    assert uow.events == []
 
 
 def test_abort_discards_staged_state(causal_sim):

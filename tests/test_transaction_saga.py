@@ -13,6 +13,7 @@ from msim.errors import (
     SimulatorError,
 )
 from msim.messaging import Command, SagaCommandEnvelope
+from msim.notification import DomainEvent
 from msim.sampleapp.domain import IN_UPDATE_TOURNAMENT
 from msim.sampleapp.services import TournamentService
 from msim.transaction.base import UowStatus
@@ -325,6 +326,61 @@ def test_handler_failure_discards_step_buffer(saga_sim):
     assert sim.store.versions(execution_id) == versions_before
     latest = sim.store.latest(execution_id)
     assert latest.students[user_ids[0]].name != "never-visible"
+
+
+def test_event_installs_only_with_its_publishers_step(saga_sim):
+    # A saga's outbox batch is one handler's step. The execution changes in
+    # one step, so a later step of the same unit of work, or code outside
+    # any handler, has no version of it to install the event with.
+    sim = saga_sim
+    txn = sim.transactions
+    execution_id, _, _, user_ids = seed_basic(sim)
+
+    def renamed_event():
+        return DomainEvent(
+            event_id=sim.notification.event_ids.new_event_id(),
+            event_type="UpdateStudentNameEvent",
+            publisher_aggregate_id=execution_id,
+            publisher_version=0,
+            payload={"user_aggregate_id": user_ids[0], "new_name": "renamed"})
+
+    def rename(command):
+        uow = txn.lookup(command.unit_of_work_ref)
+        execution = txn.aggregate_load(uow, execution_id)
+        execution.students[user_ids[0]] = replace(
+            execution.students[user_ids[0]], name="renamed")
+        txn.register_changed(uow, execution)
+        return {}
+
+    def announce(command):
+        txn.register_event(txn.lookup(command.unit_of_work_ref), renamed_event())
+        return {}
+
+    for service, handler in (("renamer", rename), ("announcer", announce)):
+        sim.gateway.register_handler(service, handler, decorators=(txn.decorator(),))
+    uow = txn.create_unit_of_work()
+    events_before = len(sim.store.events())
+    sim.gateway.send(Command(target_service="renamer", command_type="Rename",
+                             unit_of_work_ref=uow.uow_id))
+    with pytest.raises(SimulatorError, match="publisher"):
+        sim.gateway.send(Command(target_service="announcer", command_type="Announce",
+                                 unit_of_work_ref=uow.uow_id))
+    with pytest.raises(SimulatorError, match="publisher"):
+        txn.register_event(uow, renamed_event())
+    assert len(sim.store.events()) == events_before
+    assert sim.store.latest(execution_id).students[user_ids[0]].name == "renamed"
+    txn.commit(uow)
+
+
+def test_saga_unit_of_work_buffers_no_changes_or_events(saga_sim):
+    sim = saga_sim
+    execution_id, _, _, user_ids = seed_basic(sim)
+    workflow, _ = sim.app.functionalities.update_student_name(
+        execution_id, user_ids[0], "renamed")
+    workflow.execute_until("updateStudentNameStep")
+    assert workflow.uow.changed == {}
+    assert workflow.uow.events == []
+    workflow.execute()
 
 
 def test_semantic_lock_waiters_enter_in_queue_order(saga_sim):
