@@ -38,11 +38,6 @@ class Simulator:
         self.recorder = SpanRecorder(self.clock)
         self.impairment = ImpairmentHandler(
             report_path=config.impairment_report_path, errors=self.errors)
-        # Before the gateway and its transport exist, so a malformed plan
-        # fails with nothing left to close.
-        self._register_sample_errors()
-        if config.impairment_plan_dir:
-            self.impairment.load_dir(config.impairment_plan_dir)
         self.store = SimulationStore()
         self.ids = AggregateIdGenerator()
 
@@ -81,6 +76,11 @@ class Simulator:
 
         self.events = EventHandlingLoop(self.store, self.notification)
         self.app = register_sample_app(self)
+        # After the app registers its error classes, which a plan may name.
+        # A malformed plan leaves nothing to close: no broker consumer
+        # starts before the first send.
+        if config.impairment_plan_dir:
+            self.impairment.load_dir(config.impairment_plan_dir)
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -119,12 +119,6 @@ class Simulator:
                 **common,
             )
         return SagaUnitOfWorkService(lock_wait_ms=config.saga_lock_wait_ms, **common)
-
-    def _register_sample_errors(self):
-        from .sampleapp.domain import NotAStudent, StudentNotEnrolled, TournamentFull
-
-        for cls in (NotAStudent, StudentNotEnrolled, TournamentFull):
-            self.errors.register(cls)
 
     # -- event cycle passthroughs ---------------------------------------------
 

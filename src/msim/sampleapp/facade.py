@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from .domain import ANONYMIZE_USER_EVENT, UPDATE_STUDENT_NAME_EVENT, Role
+from .domain import (
+    ANONYMIZE_USER_EVENT,
+    UPDATE_STUDENT_NAME_EVENT,
+    NotAStudent,
+    Role,
+    StudentNotEnrolled,
+    TournamentFull,
+)
 from .functionalities import Functionalities
 from .services import ExecutionService, TournamentService, UserService
 
@@ -66,7 +73,10 @@ class SampleApp:
 
 
 def register_sample_app(runtime) -> SampleApp:
-    """Wire handlers, model decorators, and event reactions into a runtime."""
+    """Wire error classes, handlers, model decorators, and event reactions
+    into a runtime."""
+    for error in (NotAStudent, StudentNotEnrolled, TournamentFull):
+        runtime.errors.register(error)
     app = SampleApp(runtime)
     decorators = (runtime.transactions.decorator(),)
     runtime.gateway.register_handler(

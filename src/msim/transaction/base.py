@@ -2,14 +2,17 @@
 
 A UnitOfWork is the transaction context passed through a functionality's
 command chain: it carries the model-specific state (saga locks and
-compensations, or the causal staged changes, events and read cache). The
-service owning it decides when changes become visible: a saga installs each
-handler's step when the handler finishes, a causal transaction stages
-everything until commit. Either way an event installs in the same atomic
-batch as its publisher's changed version, and registering one whose
-publisher that batch lacks raises. The service also wraps each application
-command for its model before the command is sent (``envelope``) and decides
-whether a step's compensation is kept, so application code names no model.
+compensations, or the causal write batch and read cache). Both models stage
+writes in a batch of changed working copies and events; UnitOfWorkService holds
+the staging contract once: a load returns the running batch's staged copy,
+else a copy of the committed record the model reads (``_read``); a change is
+verified and staged by aggregate id; an event needs its publisher's change in
+the same batch; both raise when no batch runs (``_batch``). A saga's batch is
+its running handler's step, a causal one its unit of work, and each installs
+atomically, events with their publishers. The service also wraps each
+application command for its model before the command is sent (``envelope``)
+and decides whether a step's compensation is kept, so application code names
+no model.
 
 Commit and abort are themselves dispatched as infrastructure commands
 through the gateway, so they inherit transport latency and the retry loop;
@@ -49,9 +52,9 @@ class UnitOfWork:
     # saga state
     locks: list = field(default_factory=list)  # LockRecord, acquisition order
     compensations: list = field(default_factory=list)  # (label, callable)
-    # causal state
+    # causal state: the write batch, staged until commit, and the reads
     changed: dict = field(default_factory=dict)  # aggregate_id -> staged working copy
-    events: list = field(default_factory=list)  # staged outbox events
+    events: list = field(default_factory=list)  # staged outbox events of changed publishers
     read_cache: dict = field(default_factory=dict)  # aggregate_id -> committed record read
 
 
@@ -146,16 +149,38 @@ class UnitOfWorkService:
         if self.commit_stage_hook is not None:
             self.commit_stage_hook(stage)
 
-    # -- contract -----------------------------------------------------------
+    # -- staged writes ------------------------------------------------------
+
+    def _batch(self, uow: UnitOfWork):
+        """Where writes stage now (`changed`, `events`), or None."""
+        raise NotImplementedError
+
+    def _read(self, uow: UnitOfWork, aggregate_id: int):
+        """The committed record a load copies."""
+        raise NotImplementedError
 
     def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
-        raise NotImplementedError
+        """The running batch's staged copy, else a fresh working copy."""
+        batch = self._batch(uow)
+        staged = None if batch is None else batch.changed.get(aggregate_id)
+        if staged is not None:
+            return staged
+        return self._read(uow, aggregate_id).copy_for_write()
 
     def register_changed(self, uow: UnitOfWork, working_copy) -> None:
-        raise NotImplementedError
+        """Verify a working copy and stage it in place of any earlier one."""
+        batch = self._batch(uow)
+        if batch is None:
+            raise SimulatorError("no write batch is running to stage this change")
+        working_copy.verify_invariants()
+        batch.changed[working_copy.aggregate_id] = working_copy
 
     def register_event(self, uow: UnitOfWork, event) -> None:
-        raise NotImplementedError
+        """Stage an event in the batch that holds its publisher's change."""
+        batch = self._batch(uow)
+        if batch is None or event.publisher_aggregate_id not in batch.changed:
+            raise SimulatorError("event publisher is not changed in the running batch")
+        batch.events.append(event)
 
     def envelope(self, uow: UnitOfWork, command: Command, lock_states=None):
         """Wrap an application command for this model before it is sent.
@@ -181,24 +206,14 @@ class UnitOfWorkService:
     # -- commit / abort via the gateway ---------------------------------------
 
     def commit(self, uow: UnitOfWork) -> None:
-        self._gateway.send(
-            Command(
-                target_service=TRANSACTION_SERVICE,
-                command_type="transaction.commit",
-                unit_of_work_ref=uow.uow_id,
-                infrastructure=True,
-            )
-        )
+        self._send_transaction_op(uow, "transaction.commit")
 
     def abort(self, uow: UnitOfWork) -> None:
-        self._gateway.send(
-            Command(
-                target_service=TRANSACTION_SERVICE,
-                command_type="transaction.abort",
-                unit_of_work_ref=uow.uow_id,
-                infrastructure=True,
-            )
-        )
+        self._send_transaction_op(uow, "transaction.abort")
+
+    def _send_transaction_op(self, uow: UnitOfWork, op: str) -> None:
+        self._gateway.send(Command(target_service=TRANSACTION_SERVICE, command_type=op,
+                                   unit_of_work_ref=uow.uow_id, infrastructure=True))
 
     def transaction_handler(self, command: Command):
         """Gateway handler for the transaction service.

@@ -4,10 +4,10 @@ commit-time merge under optimistic concurrency.
 A unit of work fixes its snapshot at creation: the horizon, the highest
 commit version fully installed. Only the committer inside the commit
 section writes it, after its install, so the snapshot is always a
-consistent cut. Taking it costs no version-counter call. Loads resolve to
-the greatest committed version at or below the snapshot and repeat-read
-from a per-transaction cache. Nothing becomes visible before commit; abort
-simply discards the staged state.
+consistent cut. Taking it costs no version-counter call. The unit of work
+is the write batch. A load copies the greatest committed version at or
+below the snapshot, repeat-read from a per-transaction cache. Nothing
+becomes visible before commit; abort simply discards the staged state.
 
 A unit of work that staged no record and no event commits at once: its
 snapshot already is a consistent cut, so it neither enters the commit
@@ -101,11 +101,11 @@ class CausalUnitOfWorkService(UnitOfWorkService):
         with self._registry_lock:
             return min(uow.snapshot_version for uow in self._registry.values())
 
-    def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
-        """Working copy consistent with the causal snapshot; repeatable."""
-        staged = uow.changed.get(aggregate_id)
-        if staged is not None:
-            return staged
+    def _batch(self, uow: UnitOfWork):
+        return uow
+
+    def _read(self, uow: UnitOfWork, aggregate_id: int):
+        """The record at the causal snapshot; repeatable through the cache."""
         record = uow.read_cache.get(aggregate_id)
         if record is None:
             record = self._store.record_at_or_below(aggregate_id, uow.snapshot_version)
@@ -117,19 +117,7 @@ class CausalUnitOfWorkService(UnitOfWorkService):
             if record.state is LifecycleState.DELETED:
                 raise AggregateDeleted(f"aggregate {aggregate_id} is deleted")
             uow.read_cache[aggregate_id] = record
-        return record.copy_for_write()
-
-    def register_changed(self, uow: UnitOfWork, working_copy) -> None:
-        """Stage only; nothing is visible until commit."""
-        working_copy.verify_invariants()
-        uow.changed[working_copy.aggregate_id] = working_copy
-
-    def register_event(self, uow: UnitOfWork, event) -> None:
-        if event.publisher_aggregate_id not in uow.changed:
-            raise SimulatorError(
-                "event publisher is not a changed aggregate in this unit of work"
-            )
-        uow.events.append(event)
+        return record
 
     def envelope(self, uow, command, lock_states=None):
         """Every command carries the caller's snapshot; no locks are taken."""

@@ -1,14 +1,14 @@
 """Saga transaction service: semantic locks, per-step persistence,
 compensating transactions.
 
-Each service invocation is a local transaction: changes and events
-registered during a command handler buffer in its step frame and install as
-one atomic batch when the handler finishes, so intermediate states become
-visible step by step while a handler failure drops only that step's frame.
-The step frame is the outbox: an event is accepted only when the running
-frame holds its publisher, and is refused in any other step or outside a
-handler. A change registered outside any handler installs at once. The
-unit of work buffers nothing.
+Each service invocation is a local transaction: its handler's step frame is
+the write batch, installed atomically when the handler finishes, so
+intermediate states become visible step by step while a handler failure
+drops only that step's frame. A load copies the latest committed version
+unless the step already changed the aggregate. The frame is the outbox: an
+event is accepted only when the running frame holds its publisher, and a
+change or an event outside any handler is refused. The unit of work
+buffers nothing.
 
 Isolation comes from semantic locks: the saga state travels on the
 aggregate's version chain, and a command whose envelope forbids the current
@@ -35,16 +35,16 @@ from dataclasses import dataclass, field
 
 from ..aggregate import NOT_IN_SAGA
 from ..context import ambient
-from ..errors import AggregateDeleted, SemanticLockConflict, SimulatorError
+from ..errors import AggregateDeleted, SemanticLockConflict
 from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope
 from .base import FifoGate, LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
 
 
 @dataclass
 class StepFrame:
-    """The buffered writes of one handler invocation."""
+    """The write batch of one handler invocation."""
 
-    records: list = field(default_factory=list)
+    changed: dict = field(default_factory=dict)  # aggregate_id -> staged working copy
     events: list = field(default_factory=list)
 
 
@@ -72,40 +72,27 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     # -- lifecycle -------------------------------------------------------
 
-    def aggregate_load(self, uow: UnitOfWork, aggregate_id: int):
-        return self._store.latest_committed(aggregate_id).copy_for_write()
+    def _batch(self, uow: UnitOfWork):
+        return _running.frame
 
-    def register_changed(self, uow: UnitOfWork, working_copy) -> None:
-        """Validate and version a working copy; buffer it in the running
-        handler's step frame, or install it at once outside any handler."""
-        working_copy.verify_invariants()
-        working_copy.version = self._versioning.increment_and_get_version_number()
-        frame = _running.frame
-        if frame is None:
-            self._store.install(records=[working_copy], stage_hook=self._hook)
-        else:
-            frame.records.append(working_copy)
-
-    def register_event(self, uow: UnitOfWork, event) -> None:
-        """Buffer an event in its publisher's step: the running frame must
-        hold the publisher, whose latest copy there stamps the event."""
-        frame = _running.frame
-        publisher = None if frame is None else next(
-            (record for record in reversed(frame.records)
-             if record.aggregate_id == event.publisher_aggregate_id), None)
-        if publisher is None:
-            raise SimulatorError(
-                "event publisher is not changed in the running saga step")
-        frame.events.append(event.with_publisher_version(publisher.version))
+    def _read(self, uow: UnitOfWork, aggregate_id: int):
+        return self._store.latest_committed(aggregate_id)
 
     def flush_step(self, frame: StepFrame) -> None:
         """Install a handler's step, the local transaction of one service
         invocation, records and events in one batch, unless its caller gave
-        up. An event always travels with its publisher's record."""
-        if frame.records:
-            with _effect():
-                self._store.install(records=frame.records, events=frame.events,
-                                    stage_hook=self._hook)
+        up. Each changed aggregate takes one new version, reserved outside
+        the delivery's lock, and each event carries its publisher's."""
+        if not frame.changed:
+            return
+        for record in frame.changed.values():
+            record.version = self._versioning.increment_and_get_version_number()
+        events = [event.with_publisher_version(
+                      frame.changed[event.publisher_aggregate_id].version)
+                  for event in frame.events]
+        with _effect():
+            self._store.install(records=frame.changed.values(), events=events,
+                                stage_hook=self._hook)
 
     # -- semantic locks ------------------------------------------------------
 

@@ -28,6 +28,7 @@ def test_load_counts_rules(tmp_path):
     "row",
     [
         "f,s,1,DELAY,-5",            # negative delay
+        "f,s,1,DELAY,x",             # non-numeric delay
         "f,s,0,FAIL,SimulatedFault", # index below one
         "f,s,1,EXPLODE,10",          # unknown action
         "f,s,x,DELAY,10",            # non-integer index

@@ -14,6 +14,7 @@ from msim.errors import (
     DomainError,
     DuplicateRegistration,
     InfraError,
+    InvalidConfig,
     InvalidLatencySpec,
     ProgrammingError,
     SerializationError,
@@ -216,6 +217,20 @@ def test_duplicate_registration_rejected():
         gw.register_handler("echo", lambda c: {})
 
 
+def test_error_name_registered_once():
+    registry = default_registry()
+    registry.register(SimulatedFault)  # the same class again is fine
+    impostor = type("SimulatedFault", (DomainError,), {})
+    with pytest.raises(DuplicateRegistration):
+        registry.register(impostor)
+
+
+@pytest.mark.parametrize("policy", [{"max_attempts": 0}, {"multiplier": 0.5}])
+def test_retry_policy_rejects_invalid_values(policy):
+    with pytest.raises(InvalidConfig):
+        RetryPolicy(**policy)
+
+
 @given(st.integers(min_value=1, max_value=8))
 def test_backoff_follows_geometric_formula(attempt):
     policy = RetryPolicy(max_attempts=10, base_backoff_ms=20, multiplier=2)
@@ -298,6 +313,10 @@ def test_invalid_latency_rejected():
         gw.configure_transport("rpc", one_way_ms=-1)
     with pytest.raises(InvalidLatencySpec):
         gw.configure_transport("warp-drive")
+    with pytest.raises(InvalidLatencySpec):
+        gw.configure_transport("broker", delivery_ms=-1, poll_ms=1)
+    with pytest.raises(InvalidLatencySpec):
+        gw.configure_transport("broker", delivery_ms=1, poll_ms=0)
 
 
 def test_broker_correlates_concurrent_responses():

@@ -4,7 +4,7 @@ import pytest
 
 from msim.clock import VirtualClock
 from msim.errors import UnbalancedSpan
-from msim.monitoring import SpanRecorder
+from msim.monitoring import Span, SpanRecorder
 
 
 def test_root_with_two_children():
@@ -34,6 +34,12 @@ def test_end_twice_is_unbalanced():
 def test_end_unknown_is_unbalanced():
     with pytest.raises(UnbalancedSpan):
         SpanRecorder(VirtualClock()).end_span(999)
+
+
+def test_open_span_has_no_duration():
+    span = Span(trace_id=1, span_id=1, parent_span_id=None, name="w", start_ns=0)
+    with pytest.raises(UnbalancedSpan):
+        span.duration_ns()
 
 
 def test_remote_parent_context_links_traces():

@@ -67,6 +67,17 @@ def test_config_rejects_unknown_values():
         SimConfig(transaction_model="tcc", versioning_strategy="snowflake")
 
 
+@pytest.mark.parametrize("overrides", [
+    {"versioning_strategy": "lamport"},
+    {"clock_mode": "sundial"},
+    {"retry_max_attempts": 0},
+    {"retry_multiplier": 0.5},
+])
+def test_config_rejects_invalid_values(overrides):
+    with pytest.raises(InvalidConfig):
+        SimConfig(**overrides)
+
+
 def run_workload(sim):
     execution_id, tournament_id, _, user_ids = seed_basic(sim, students=3)
     sim.app.add_participant(tournament_id, execution_id, user_ids[0])

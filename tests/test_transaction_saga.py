@@ -21,19 +21,47 @@ from tests.conftest import queue_waiter, seed_basic
 
 
 def test_register_changed_is_immediately_visible(saga_sim):
+    # A handler's step installs when the handler finishes, not at commit.
     sim = saga_sim
+    txn = sim.transactions
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     versions_before = len(sim.store.versions(execution_id))
-    uow = sim.transactions.create_unit_of_work()
-    execution = sim.transactions.aggregate_load(uow, execution_id)
-    execution.students[user_ids[0]] = replace(execution.students[user_ids[0]], name="mid-saga")
-    sim.transactions.register_changed(uow, execution)
+
+    def rename(command):
+        uow = txn.lookup(command.unit_of_work_ref)
+        execution = txn.aggregate_load(uow, execution_id)
+        execution.students[user_ids[0]] = replace(
+            execution.students[user_ids[0]], name="mid-saga")
+        txn.register_changed(uow, execution)
+        return {}
+
+    sim.gateway.register_handler("renamer", rename, decorators=(txn.decorator(),))
+    uow = txn.create_unit_of_work()
+    sim.gateway.send(Command(target_service="renamer", command_type="Rename",
+                             unit_of_work_ref=uow.uow_id))
     # persisted before any commit: another unit of work sees it
-    other = sim.transactions.create_unit_of_work()
-    seen = sim.transactions.aggregate_load(other, execution_id)
+    other = txn.create_unit_of_work()
+    seen = txn.aggregate_load(other, execution_id)
     assert seen.students[user_ids[0]].name == "mid-saga"
     assert len(sim.store.versions(execution_id)) == versions_before + 1
-    sim.transactions.commit(uow)
+    txn.commit(uow)
+
+
+def test_change_outside_any_handler_is_refused(saga_sim):
+    sim = saga_sim
+    txn = sim.transactions
+    execution_id, _, _, user_ids = seed_basic(sim)
+    versions_before = sim.store.versions(execution_id)
+    counter_before = sim.versioning.get_version_number()
+    uow = txn.create_unit_of_work()
+    execution = txn.aggregate_load(uow, execution_id)
+    execution.students[user_ids[0]] = replace(
+        execution.students[user_ids[0]], name="outside")
+    with pytest.raises(SimulatorError):
+        txn.register_changed(uow, execution)
+    assert sim.store.versions(execution_id) == versions_before
+    assert sim.versioning.get_version_number() == counter_before
+    txn.commit(uow)
 
 
 def test_saga_uow_starts_empty(saga_sim):
