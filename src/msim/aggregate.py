@@ -145,17 +145,17 @@ class SimulationStore:
 
     Readers never block: a chain, once in place, is never changed, and an
     install replaces it with a new list. install() validates and builds the
-    touched chains, then puts them in place and advances the visible event
-    count; stage_hook (when given) is called between internal build steps so
-    tests can inject crashes at every intermediate point.
+    touched chains, then puts them in place and only then extends the event
+    log, so a reader sees a record before its events; stage_hook (when
+    given) is called between internal build steps so tests can inject
+    crashes at every intermediate point.
     """
 
     def __init__(self):
         self._records = {}  # aggregate_id -> list of records sorted by version
         self._events = []
-        self._event_count = 0  # how many entries of _events are visible
-        self._published = 0  # length of the published prefix of those entries
-        self._event_ids = set()  # ids of the visible events
+        self._published = 0  # length of the published prefix of _events
+        self._event_ids = set()  # ids of the events in the log
         self._lock = threading.RLock()
 
     # -- writes ---------------------------------------------------------
@@ -203,10 +203,9 @@ class SimulationStore:
                     batch.setdefault(event.event_id, event)
                 hook(f"install:event:{i}")
             hook("install:swap")
-            self._events[self._event_count:] = batch.values()
-            self._event_ids.update(batch)
             self._records.update(touched)
-            self._event_count += len(batch)
+            self._event_ids.update(batch)
+            self._events.extend(batch.values())
 
     def publish(self, upto: int) -> int:
         """Publish the first `upto` events of the log.
@@ -215,7 +214,7 @@ class SimulationStore:
         with the same `upto` returns 0.
         """
         with self._lock:
-            upto = min(upto, self._event_count)
+            upto = min(upto, len(self._events))
             newly = max(0, upto - self._published)
             self._published += newly
             return newly
@@ -277,8 +276,8 @@ class SimulationStore:
             yield from chain
 
     def events(self) -> list:
-        """Every visible event, oldest first."""
-        return self._events[: self._event_count]
+        """A copy of the event log, oldest first."""
+        return self._events.copy()
 
     def published_count(self) -> int:
         """Length of the published prefix of events()."""

@@ -2,8 +2,9 @@
 
 Carries the (functionality, step) pair and the active trace span while a
 workflow step runs, so the command gateway can stamp outgoing commands
-without the application threading these values through every call, and
-the broker delivery whose handler the thread runs.
+without the application threading these values through every call, the
+broker delivery whose handler the thread runs, and the saga step frame of
+that handler.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ class _Ambient(threading.local):
         self.step = None
         self.trace_parent = None
         self.delivery = None
+        self.frame = None
 
 
 ambient = _Ambient()

@@ -12,7 +12,9 @@ its running handler's step, a causal one its unit of work, and each installs
 atomically, events with their publishers. The service also wraps each
 application command for its model before the command is sent (``envelope``)
 and decides whether a step's compensation is kept, so application code names
-no model.
+no model. Both models bound their one wait, a semantic lock or the commit
+section, with a FifoGate: a caller holds a key, FIFO per key, for a block
+of its own, and the gate's lock is never held across that block.
 
 Commit and abort are themselves dispatched as infrastructure commands
 through the gateway, so they inherit transport latency and the retry loop;
@@ -59,22 +61,26 @@ class UnitOfWork:
 
 
 class FifoGate:
-    """Bounded FIFO admission, the one wait both transactional models share.
+    """Bounded FIFO admission per key, the one wait both transactional
+    models share.
 
-    Callers queue per key and only the head of a key's queue may enter, so a
-    waiter cannot starve behind lucky latecomers. The head enters once its
-    try_enter, run under the gate's lock, returns true; a caller still
-    outside after wait_ms raises the conflict its caller supplies. A state
-    change that may let a waiter in runs inside changed(), which wakes the
-    waiters. One condition serves every key.
+    A caller queues per key and enters once it is the head of its key's
+    queue and its ready(), a pure check run under the gate's lock, is true,
+    so a waiter cannot starve behind lucky latecomers. It then holds the key
+    for its whole ``with`` block, outside the gate's lock, so a slow holder
+    stalls only its own key. A caller still outside after wait_ms raises the
+    conflict its caller supplies. Leaving the key wakes the waiters, and so
+    does changed(), called once a state that some ready() reads has
+    changed. One condition serves every key.
     """
 
     def __init__(self):
         self._cond = threading.Condition(threading.Lock())
         self._queues: dict[object, deque] = {}
 
-    def enter(self, key, try_enter, wait_ms: float, conflict) -> None:
-        """Wait until try_enter() succeeds at the head of key's queue.
+    @contextmanager
+    def hold(self, key, wait_ms: float, conflict, ready=lambda: True):
+        """Hold key once this caller heads its queue and ready() is true.
 
         conflict() builds the exception raised once wait_ms has passed.
         """
@@ -83,26 +89,26 @@ class FifoGate:
         now = time.monotonic
         deadline = now() + wait_ms / 1000.0
         token = object()
-        with self._cond:
-            queue = self._queues.setdefault(key, deque())
-            queue.append(token)
-            try:
-                while not (queue[0] is token and try_enter()):
+        try:
+            with self._cond:
+                queue = self._queues.setdefault(key, deque())
+                queue.append(token)
+                while not (queue[0] is token and ready()):
                     remaining = deadline - now()
                     if remaining <= 0:
                         raise conflict()
                     self._cond.wait(remaining)
-            finally:
+            yield
+        finally:
+            with self._cond:
                 queue.remove(token)
                 if not queue:
                     del self._queues[key]
                 self._cond.notify_all()
 
-    @contextmanager
-    def changed(self):
-        """Run the body under the gate's lock, then wake every waiter."""
+    def changed(self) -> None:
+        """Wake every waiter: a state some ready() reads has changed."""
         with self._cond:
-            yield
             self._cond.notify_all()
 
 

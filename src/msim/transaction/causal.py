@@ -24,13 +24,14 @@ also compacts each chain it touches: versions below the greatest one at or
 below the oldest snapshot of any live unit of work (the committer's
 included) can never be read again, so they are dropped, as MVCC garbage
 collection does; a unit of work takes its snapshot under the registry lock
-that this minimum is computed under. Entry into the commit section is FIFO
-and bounded, through the FifoGate shared with the saga semantic locks: a
-committer that cannot acquire it in time fails with a retryable conflict,
-modeling the optimistic-concurrency aborts a real store would produce
-under contention. A merge the domain declares
-unresolvable, or an invariant broken after merge, converts the commit into
-an abort and returns the reserved version number.
+that this minimum is computed under. The commit section is the one key of
+a FifoGate, the admission the saga semantic locks share: a committer holds
+it for its whole writer path, entry is FIFO and bounded, and a committer
+that cannot enter in time fails with a retryable conflict, modeling the
+optimistic-concurrency aborts a real store would produce under contention.
+A merge the domain declares unresolvable, or an invariant broken after
+merge, converts the commit into an abort, returns the reserved version
+number and frees the section.
 
 This model needs strictly sequential versions to order causal history, so
 it refuses to run on the decentralized snowflake strategy.
@@ -55,8 +56,7 @@ class CausalUnitOfWorkService(UnitOfWorkService):
     def __init__(self, *args, commit_wait_ms: float = 70.0, commit_store_ms: float = 5.0,
                  **kwargs):
         super().__init__(*args, **kwargs)
-        self._gate = FifoGate()
-        self._section_busy = False
+        self._gate = FifoGate()  # its one key, None, is the commit section
         # Highest fully installed commit version: the safe snapshot horizon
         # (the raw counter may already name a version still being written).
         self._horizon = 0
@@ -64,25 +64,6 @@ class CausalUnitOfWorkService(UnitOfWorkService):
         # Modeled store transaction: the atomic multi-aggregate + outbox
         # write, paid while the commit section is held.
         self.commit_store_ms = commit_store_ms
-
-    # -- commit section: fair FIFO admission with a bounded wait -----------
-
-    def _take_commit_section(self) -> bool:
-        if self._section_busy:
-            return False
-        self._section_busy = True
-        return True
-
-    def _enter_commit_section(self) -> None:
-        self._gate.enter(
-            None, self._take_commit_section, self.commit_wait_ms,
-            lambda: ConcurrentCommitConflict(
-                f"commit section busy for more than {self.commit_wait_ms}ms"),
-        )
-
-    def _exit_commit_section(self) -> None:
-        with self._gate.changed():
-            self._section_busy = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -138,8 +119,11 @@ class CausalUnitOfWorkService(UnitOfWorkService):
         if not uow.changed and not uow.events:
             uow.status = UowStatus.COMMITTED
             return
-        self._enter_commit_section()
-        try:
+        with self._gate.hold(
+            None, self.commit_wait_ms,
+            lambda: ConcurrentCommitConflict(
+                f"commit section busy for more than {self.commit_wait_ms}ms"),
+        ):
             self._hook("commit:begin")
             commit_version = self._versioning.increment_and_get_version_number()
             self._hook("commit:version-reserved")
@@ -174,8 +158,6 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                 self._versioning.decrement_version_number()
                 uow.status = UowStatus.ABORTED
                 raise
-        finally:
-            self._exit_commit_section()
 
     def _do_abort(self, uow: UnitOfWork) -> None:
         """Discard staged state; the store was never touched."""

@@ -14,8 +14,10 @@ Isolation comes from semantic locks: the saga state travels on the
 aggregate's version chain, and a command whose envelope forbids the current
 state is rejected with a retryable conflict, queuing conflicting
 functionalities behind the gateway backoff. The wait for a forbidden state
-to clear is bounded and FIFO per aggregate: it goes through the FifoGate
-shared with the causal commit section. Commit releases the locks. Abort
+to clear is bounded and FIFO per aggregate: a lock holds its aggregate's
+key of the FifoGate shared with the causal commit section while it writes,
+so its version-counter call holds up no other aggregate. An unlock takes
+no key: it writes, then wakes the waiters. Commit releases the locks. Abort
 runs the registered compensations in reverse order, each writing a new
 committed version that restores the pre-saga domain state, then releases
 the locks.
@@ -29,7 +31,6 @@ aggregate is always unlocked.
 
 from __future__ import annotations
 
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -48,15 +49,6 @@ class StepFrame:
     events: list = field(default_factory=list)
 
 
-class _Running(threading.local):
-    """The step frame of the saga handler running on this thread, if any."""
-
-    frame: StepFrame | None = None
-
-
-_running = _Running()
-
-
 def _effect():
     """Hold the running broker delivery while a saga effect is made; it
     refuses the effect once the caller gave up. A handler running on its
@@ -73,7 +65,7 @@ class SagaUnitOfWorkService(UnitOfWorkService):
     # -- lifecycle -------------------------------------------------------
 
     def _batch(self, uow: UnitOfWork):
-        return _running.frame
+        return ambient.frame
 
     def _read(self, uow: UnitOfWork, aggregate_id: int):
         return self._store.latest_committed(aggregate_id)
@@ -96,40 +88,37 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     # -- semantic locks ------------------------------------------------------
 
-    def _install_saga_state(self, latest, saga_state: str) -> None:
-        """Write latest's next version, carrying saga_state."""
-        record = latest.copy_for_write()
-        record.saga_state = saga_state
-        record.version = self._versioning.increment_and_get_version_number()
-        self._store.install(records=[record])
-
     def acquire_semantic_lock(self, uow, aggregate_id, forbidden_states, acquire_state):
         """Atomic check-and-set of the aggregate's saga state.
 
         Waits up to lock_wait_ms, in FIFO order per aggregate, for a
         forbidden state to clear (woken by unlock writes) before surfacing
         SemanticLockConflict; the conflict is infrastructure-classified so
-        the gateway queues the caller with backoff. A handler still waiting
-        when its caller gave up takes no lock: the caller's abort may
-        already have released its locks.
+        the gateway queues the caller with backoff. The lock is written
+        holding only its aggregate's key, so its version-counter call holds
+        up no other aggregate. A handler whose caller gave up takes no lock:
+        the caller's abort may already have released its locks.
         """
         if any(lock.aggregate_id == aggregate_id for lock in uow.locks):
             return  # re-entrant: this saga already holds the lock
 
-        def try_acquire():
-            with _effect():
-                latest = self._store.latest_committed(aggregate_id)
-                if latest.saga_state in forbidden_states:
-                    return False
-                self._install_saga_state(latest, acquire_state)
-                uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
-                return True
+        def ready():
+            latest = self._store.latest_committed(aggregate_id)
+            return latest.saga_state not in forbidden_states
 
-        self._gate.enter(
-            aggregate_id, try_acquire, self.lock_wait_ms,
+        with self._gate.hold(
+            aggregate_id, self.lock_wait_ms,
             lambda: SemanticLockConflict(
                 f"aggregate {aggregate_id} is in a forbidden saga state"),
-        )
+            ready=ready,
+        ):
+            latest = self._store.latest_committed(aggregate_id)
+            record = latest.copy_for_write()
+            record.saga_state = acquire_state
+            record.version = self._versioning.increment_and_get_version_number()
+            with _effect():
+                self._store.install(records=[record])
+                uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
 
     def register_compensation(self, uow: UnitOfWork, action, label: str) -> None:
         uow.compensations.append((label, action))
@@ -146,26 +135,32 @@ class SagaUnitOfWorkService(UnitOfWorkService):
 
     # -- commit / abort ----------------------------------------------------------
 
-    def _write_saga_state(self, aggregate_id: int, saga_state: str) -> None:
-        with self._gate.changed():
-            try:
-                latest = self._store.latest_committed(aggregate_id)
-            except AggregateDeleted:
-                return  # tombstoned mid-saga; nothing left to unlock
-            self._install_saga_state(latest, saga_state)
-
-    def _do_commit(self, uow: UnitOfWork) -> None:
-        """Release every semantic lock; compensations are discarded.
+    def _release_locks(self, uow: UnitOfWork, restore: bool) -> None:
+        """Unlock each aggregate, newest lock first, writing its saga state
+        before this saga (restore) or NOT_IN_SAGA, then wake its waiters.
 
         Each lock leaves the unit of work once its unlock is written, so a
-        commit retried after a failed unlock never rewrites the saga state
-        of an aggregate that another saga may have locked since.
+        commit or abort retried after a failed unlock never rewrites the
+        saga state of an aggregate that another saga may have locked since.
         """
+        while uow.locks:
+            lock = uow.locks[-1]
+            try:
+                record = self._store.latest_committed(lock.aggregate_id).copy_for_write()
+            except AggregateDeleted:
+                pass  # tombstoned mid-saga; nothing left to unlock
+            else:
+                record.saga_state = lock.previous_saga_state if restore else NOT_IN_SAGA
+                record.version = self._versioning.increment_and_get_version_number()
+                self._store.install(records=[record])
+                self._gate.changed()
+            uow.locks.pop()
+
+    def _do_commit(self, uow: UnitOfWork) -> None:
+        """Release every semantic lock; compensations are discarded."""
         if uow.status is UowStatus.COMMITTED:
             return
-        while uow.locks:
-            self._write_saga_state(uow.locks[-1].aggregate_id, NOT_IN_SAGA)
-            uow.locks.pop()
+        self._release_locks(uow, restore=False)
         uow.compensations.clear()
         uow.status = UowStatus.COMMITTED
 
@@ -197,10 +192,7 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             finally:
                 if span_id is not None:
                     self._recorder.end_span(span_id)
-        while uow.locks:
-            lock = uow.locks[-1]
-            self._write_saga_state(lock.aggregate_id, lock.previous_saga_state)
-            uow.locks.pop()
+        self._release_locks(uow, restore=True)
         uow.status = UowStatus.ABORTED
 
     def decorator(self):
@@ -223,8 +215,8 @@ class SagaCommandDecorator(CommandHandlerDecorator):
     def handle(self, message, proceed):
         command = message.inner
         uow = self._service.lookup(command.unit_of_work_ref)
-        outer, frame = _running.frame, StepFrame()
-        _running.frame = frame
+        outer, frame = ambient.frame, StepFrame()
+        ambient.frame = frame
         try:
             if isinstance(message, SagaCommandEnvelope):
                 self._service.acquire_semantic_lock(
@@ -236,5 +228,5 @@ class SagaCommandDecorator(CommandHandlerDecorator):
             result = proceed(command)
             self._service.flush_step(frame)
         finally:
-            _running.frame = outer
+            ambient.frame = outer
         return result

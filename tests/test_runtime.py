@@ -72,6 +72,12 @@ def test_config_rejects_unknown_values():
     {"clock_mode": "sundial"},
     {"retry_max_attempts": 0},
     {"retry_multiplier": 0.5},
+    {"broker_response_timeout_s": -1},
+    {"saga_lock_wait_ms": -5},
+    {"tcc_commit_wait_ms": -1},
+    {"tcc_commit_store_ms": -2},
+    {"versioning_db_ms": -3},
+    {"retry_base_ms": -10},
 ])
 def test_config_rejects_invalid_values(overrides):
     with pytest.raises(InvalidConfig):

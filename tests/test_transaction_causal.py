@@ -548,3 +548,25 @@ def test_causal_allows_remote_centralized(make_sim):
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     sim.app.add_participant(tournament_id, execution_id, user_ids[0])
     assert len(sim.app.get_tournament(tournament_id)["participants"]) == 1
+
+
+def test_commit_section_is_freed_after_a_failed_commit(causal_sim):
+    sim = causal_sim
+    service = sim.transactions
+    _, tournament_id, _, user_ids = seed_basic(sim)
+    uow_a = service.create_unit_of_work()
+    uow_b = service.create_unit_of_work()
+    for uow, limit in ((uow_a, 50), (uow_b, 60)):
+        tournament = service.aggregate_load(uow, tournament_id)
+        tournament.max_participants = limit
+        service.register_changed(uow, tournament)
+    service.commit(uow_a)
+    with pytest.raises(MergeConflictUnresolvable):
+        service.commit(uow_b)
+    assert service._gate._queues == {}
+    service.commit_wait_ms = 5
+    writer = service.create_unit_of_work()
+    stage_participant(sim, writer, tournament_id, user_ids[0])
+    service.commit(writer)
+    assert writer.status is UowStatus.COMMITTED
+    assert user_ids[0] in sim.store.latest(tournament_id).participants

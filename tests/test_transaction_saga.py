@@ -554,3 +554,80 @@ def test_saga_chains_are_never_compacted(saga_sim):
         sim.app.update_student_name(execution_id, user_ids[0], f"name-{i}")
     assert sim.store.versions(execution_id)[:len(versions)] == versions
     assert len(sim.store.versions(execution_id)) == len(versions) + 20
+
+
+def park_counter_calls_of(sim, monkeypatch, thread_name):
+    """Park every version-counter call made on the thread named
+    thread_name until released. Returns (parked, release) events."""
+    parked, release = threading.Event(), threading.Event()
+    original = sim.versioning.increment_and_get_version_number
+
+    def increment():
+        if threading.current_thread().name == thread_name:
+            parked.set()
+            release.wait(5)
+        return original()
+
+    monkeypatch.setattr(sim.versioning, "increment_and_get_version_number", increment)
+    return parked, release
+
+
+def two_tournaments(sim):
+    execution_id, first, creator_id, _ = seed_basic(sim)
+    second = sim.app.create_tournament(
+        execution_id, creator_id, start_time=0, end_time=1000, max_participants=10)
+    return first, second
+
+
+def lock_tournament(service, uow, tournament_id):
+    service.acquire_semantic_lock(
+        uow, tournament_id, [IN_UPDATE_TOURNAMENT], IN_UPDATE_TOURNAMENT)
+
+
+def assert_lock_taken_at_once(sim, tournament_id):
+    uow = sim.transactions.create_unit_of_work()
+    started = time.monotonic()
+    lock_tournament(sim.transactions, uow, tournament_id)
+    assert time.monotonic() - started < 2
+    assert sim.store.latest(tournament_id).saga_state == IN_UPDATE_TOURNAMENT
+
+
+def test_lock_is_not_held_up_by_another_aggregates_lock(saga_sim, monkeypatch):
+    # A lock write's version-counter call holds up only its own aggregate.
+    sim = saga_sim
+    service = sim.transactions
+    parked_on, other = two_tournaments(sim)
+    parked, release = park_counter_calls_of(sim, monkeypatch, "slow")
+    slow = threading.Thread(
+        target=lock_tournament, name="slow",
+        args=(service, service.create_unit_of_work(), parked_on))
+    slow.start()
+    try:
+        assert parked.wait(5)
+        assert_lock_taken_at_once(sim, other)
+    finally:
+        release.set()
+        slow.join(5)
+    assert not slow.is_alive()
+    assert sim.store.latest(parked_on).saga_state == IN_UPDATE_TOURNAMENT
+
+
+def test_lock_is_not_held_up_by_another_aggregates_unlock(saga_sim, monkeypatch):
+    # An unlock write's version-counter call holds up no other aggregate.
+    sim = saga_sim
+    service = sim.transactions
+    parked_on, other = two_tournaments(sim)
+    holder = service.create_unit_of_work()
+    lock_tournament(service, holder, parked_on)
+    parked, release = park_counter_calls_of(sim, monkeypatch, "slow")
+    slow = threading.Thread(target=service.commit, args=(holder,), name="slow")
+    slow.start()
+    try:
+        assert parked.wait(5)
+        assert_lock_taken_at_once(sim, other)
+    finally:
+        release.set()
+        slow.join(5)
+    assert not slow.is_alive()
+    assert holder.status is UowStatus.COMMITTED
+    assert sim.store.latest(parked_on).saga_state == NOT_IN_SAGA

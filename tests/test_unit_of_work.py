@@ -1,10 +1,14 @@
 """The staging contract both transactional models share."""
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from msim.messaging import Command
+from msim.transaction.base import FifoGate
 from tests.conftest import seed_basic
 
 
@@ -31,3 +35,34 @@ def test_handler_sees_its_own_change(make_sim, model):
     txn.commit(uow)
     students = sim.store.latest(execution_id).students
     assert [students[user_id].name for user_id in user_ids] == ["first", "second"]
+
+
+def test_gate_holds_each_key_for_one_caller_at_a_time():
+    # More threads than cores contend for two keys under a short switch
+    # interval; an unguarded read-modify-write under a held key would lose
+    # updates, and every key is released once the holders are done.
+    gate = FifoGate()
+    counts = {0: 0, 1: 0}
+    rounds, threads_per_key = 300, 4
+
+    def hold_and_count(key):
+        for _ in range(rounds):
+            with gate.hold(key, 10_000, lambda: AssertionError("gate wait timed out")):
+                seen = counts[key]
+                time.sleep(0)  # let another thread run mid-update
+                counts[key] = seen + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold_and_count, args=(i % 2,))
+                   for i in range(2 * threads_per_key)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert counts == {0: rounds * threads_per_key, 1: rounds * threads_per_key}
+    assert gate._queues == {}
