@@ -275,9 +275,10 @@ class SimulationStore:
         for chain in self._records.copy().values():
             yield from chain
 
-    def events(self) -> list:
-        """A copy of the event log, oldest first."""
-        return self._events.copy()
+    def events(self, start: int = 0, stop: int | None = None) -> list:
+        """A copy of the event log, oldest first, or of its [start:stop] slice."""
+        with self._lock:
+            return self._events[start:stop]
 
     def published_count(self) -> int:
         """Length of the published prefix of events()."""

@@ -2,9 +2,10 @@
 
 Carries the (functionality, step) pair and the active trace span while a
 workflow step runs, so the command gateway can stamp outgoing commands
-without the application threading these values through every call, the
-broker delivery whose handler the thread runs, and the saga step frame of
-that handler.
+without the application threading these values through every call.
+``delivery`` holds the response deadline (a ``time.monotonic`` value) of
+the broker caller whose handler the thread runs, and ``frame`` the step
+frame of the running saga handler.
 """
 
 from __future__ import annotations

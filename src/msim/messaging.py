@@ -9,12 +9,11 @@ single gateway interface. The transport behind it is configuration:
 * local-serialized -- rpc at zero latency: a direct call, but commands and
   responses are forced through the canonical byte encoding so payload
   problems surface locally.
-* broker           -- serialized, handed to a parked consumer of the target
-  service (one is started when none is idle), so one service's handlers run
-  concurrently; each reply goes back to its caller's own slot. Poll ticks
-  and delivery latency are waited out through the clock. A message whose
-  caller gave up is dropped, and a handler that outlives its caller makes
-  no further effect.
+* broker           -- serialized, and run on the caller's thread once the
+  next poll tick and the delivery latency have passed on the clock; the
+  reply pays the delivery latency back. A message that comes due after its
+  caller's response timeout is dropped, a handler makes no saga effect
+  after it, and a reply that returns after it is discarded.
 
 A handler's exception comes back as the (name, message) pair that
 errors.py classifies. send() retries only an InfraError, with exponential
@@ -29,8 +28,8 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 
 from . import serialization
 from .clock import Clock
@@ -41,7 +40,6 @@ from .errors import (
     InfraError,
     InvalidConfig,
     InvalidLatencySpec,
-    SerializationError,
     ServiceUnavailable,
     SimulatorError,
 )
@@ -220,52 +218,22 @@ class SerializedLocalTransport(RpcTransport):
     """The rpc transport at zero latency: a direct call through the byte encoding."""
 
 
-class _Reply:
-    """One dispatch's reply slot, which also records its command's fate.
-
-    The caller sets ``given_up`` under ``lock`` when it times out. The slot
-    is its consumer's ``ambient.delivery`` while the handler runs, and each
-    effect is made inside ``with`` the slot, which refuses it once the
-    caller gave up.
-    """
-
-    __slots__ = ("arrived", "wire", "given_up", "lock")
-
-    def __init__(self):
-        self.arrived = threading.Event()
-        self.wire = None
-        self.given_up = False
-        self.lock = threading.Lock()
-
-    def __enter__(self):
-        self.lock.acquire()
-        if self.given_up:
-            self.lock.release()
-            raise SimulatorError("the caller gave up on this command; effect refused")
-
-    def __exit__(self, *exc_info):
-        self.lock.release()
-
-
 class BrokerTransport(Transport):
-    """Per-service pools of parked consumers; each reply goes to its caller's slot.
-
-    A consumer is a thread parked on its own inbox, with no timeout, so an
-    idle broker never wakes. dispatch() hands the message straight to the
-    service's most recently parked consumer, or starts one when none is idle.
-    Handlers of one service thus run concurrently, and the pool grows only
-    when every consumer is busy, so its size follows the service's peak of
-    messages in flight.
+    """A message broker whose delivery runs on the caller's thread.
 
     A message is taken at the first poll tick at or after it was sent, ticks
     falling every ``poll_ms`` from when the transport started, and no earlier
-    than ``delivery_ms`` after it was sent. The consumer sleeps through the
-    clock until then.
+    than ``delivery_ms`` after it was sent; its reply travels back in
+    ``delivery_ms``. Both waits go through the clock. The handler runs on
+    the caller's thread in between, as under rpc, so one service's handlers
+    run as concurrently as their callers and a broker starts no thread.
 
-    A message whose caller has already given up is dropped at delivery. A
-    handler already running when its caller times out still completes, but
-    makes no effect after the give-up, and its response is discarded. A send
-    after close() fails at once.
+    The caller gives up ``response_timeout_s`` of wall time after it sent.
+    A message that comes due after that is dropped, and a reply that comes
+    back after it is discarded; either way the send raises
+    ServiceUnavailable. While the handler runs, ``ambient.delivery`` holds
+    that deadline, and a saga refuses any effect past it. A send after
+    close() fails at once.
     """
 
     def __init__(
@@ -282,69 +250,35 @@ class BrokerTransport(Transport):
         self.poll_ms = poll_ms
         self.response_timeout_s = response_timeout_s
         self._started_ns = clock.now_ns()
-        self._idle: dict[str, list[SimpleQueue]] = {}
-        self._consumers: list[tuple[threading.Thread, SimpleQueue]] = []
-        self._lock = threading.Lock()
         self._closed = False
-
-    def _consume(self, service, inbox):
-        while (job := inbox.get()) is not None:
-            reply, wire, due_ns, execute = job
-            self._clock.sleep_ms((due_ns - self._clock.now_ns()) / 1e6)
-            if not reply.given_up:
-                ambient.delivery = reply
-                response = execute(WireMessage.from_wire(serialization.decode(wire)))
-                ambient.delivery = None
-                try:
-                    reply.wire = serialization.encode(response.to_wire())
-                except SerializationError as exc:
-                    response = CommandResponse(
-                        response.command_id, error_name=type(exc).__name__,
-                        error_message=str(exc))
-                    reply.wire = serialization.encode(response.to_wire())
-                reply.arrived.set()
-            with self._lock:
-                self._idle[service].append(inbox)
 
     def dispatch(self, message, execute) -> CommandResponse:
         service = message.inner.target_service
-        wire = serialization.encode(message.to_wire())
+        if self._closed:
+            raise ServiceUnavailable(f"broker closed: no delivery to {service}")
+        wire = serialization.roundtrip(message.to_wire())
+        give_up = time.monotonic() + self.response_timeout_s
         sent_ns = self._clock.now_ns()
         poll_ns = self.poll_ms * 1e6
         ticks = math.ceil((sent_ns - self._started_ns) / poll_ns)
         due_ns = max(self._started_ns + ticks * poll_ns, sent_ns + self.delivery_ms * 1e6)
-        reply = _Reply()
-        with self._lock:
-            if self._closed:
-                raise ServiceUnavailable(f"broker closed: no delivery to {service}")
-            idle = self._idle.setdefault(service, [])
-            if idle:
-                inbox = idle.pop()
-            else:
-                inbox = SimpleQueue()
-                consumer = threading.Thread(
-                    target=self._consume, args=(service, inbox),
-                    name=f"broker-poller-{service}", daemon=True)
-                self._consumers.append((consumer, inbox))
-                consumer.start()
-            # Under the lock, so close() cannot put its stop marker first.
-            inbox.put((reply, wire, due_ns, execute))
-        if not reply.arrived.wait(self.response_timeout_s):
-            with reply.lock:
-                reply.given_up = True
-            raise ServiceUnavailable(
-                f"no response from {service} within {self.response_timeout_s}s"
-            )
-        self._clock.sleep_ms(self.delivery_ms)
-        return CommandResponse.from_wire(serialization.decode(reply.wire))
+        self._clock.sleep_ms((due_ns - sent_ns) / 1e6)
+        if time.monotonic() < give_up:
+            outer, ambient.delivery = ambient.delivery, give_up
+            try:
+                response = execute(WireMessage.from_wire(wire))
+            finally:
+                ambient.delivery = outer
+            if time.monotonic() < give_up:
+                reply = serialization.roundtrip(response.to_wire())
+                self._clock.sleep_ms(self.delivery_ms)
+                return CommandResponse.from_wire(reply)
+        raise ServiceUnavailable(
+            f"no response from {service} within {self.response_timeout_s}s"
+        )
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            for _, inbox in self._consumers:
-                inbox.put(None)
-        for consumer, _ in self._consumers:
-            consumer.join(timeout=1.0)
+        self._closed = True
 
 
 # ---------------------------------------------------------------------------

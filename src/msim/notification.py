@@ -68,13 +68,13 @@ class NotificationService:
 
         Returns the number of events published this cycle.
         """
-        events = self._store.events()
-        pending = events[self._store.published_count():]
+        published = self._store.published_count()
+        pending = self._store.events(published)
         if self.delivery_latency_ms and any(
             event.event_type in self._subscribed_types for event in pending
         ):
             self._clock.sleep_ms(self.delivery_latency_ms)
-        return self._store.publish(len(events))
+        return self._store.publish(published + len(pending))
 
     # -- subscription queries ----------------------------------------------
 
@@ -87,7 +87,7 @@ class NotificationService:
         if built_at == published:
             return index
         index = {}
-        for event in self._store.events()[:published]:
+        for event in self._store.events(stop=published):
             key = (event.event_type, event.publisher_aggregate_id)
             if key not in index:
                 index[key] = ([], {})

@@ -77,8 +77,8 @@ class Simulator:
         self.events = EventHandlingLoop(self.store, self.notification)
         self.app = register_sample_app(self)
         # After the app registers its error classes, which a plan may name.
-        # A malformed plan leaves nothing to close: no broker consumer
-        # starts before the first send.
+        # A malformed plan leaves nothing to close: the broker starts no
+        # thread.
         if config.impairment_plan_dir:
             self.impairment.load_dir(config.impairment_plan_dir)
 

@@ -23,20 +23,21 @@ committed version that restores the pre-saga domain state, then releases
 the locks.
 
 A handler has two effects: taking a semantic lock and installing its step.
-A broker handler makes each under its delivery's lock, and neither once its
-caller gave up, so a handler that outlives its caller's timeout changes
-nothing the abort would not undo. Unlock writes are never refused, so an
-aggregate is always unlocked.
+A broker handler makes neither once its caller's response deadline has
+passed, so a handler that outlives its caller's timeout changes nothing the
+abort would not undo. The handler runs on its caller's thread, so no lock
+guards that check: the caller cannot give up while it runs. Unlock writes
+are never refused, so an aggregate is always unlocked.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import time
 from dataclasses import dataclass, field
 
 from ..aggregate import NOT_IN_SAGA
 from ..context import ambient
-from ..errors import AggregateDeleted, SemanticLockConflict
+from ..errors import AggregateDeleted, SemanticLockConflict, SimulatorError
 from ..messaging import CommandHandlerDecorator, SagaCommandEnvelope
 from .base import FifoGate, LockRecord, UnitOfWork, UnitOfWorkService, UowStatus
 
@@ -49,11 +50,11 @@ class StepFrame:
     events: list = field(default_factory=list)
 
 
-def _effect():
-    """Hold the running broker delivery while a saga effect is made; it
-    refuses the effect once the caller gave up. A handler running on its
-    caller's thread has no delivery and is never refused."""
-    return ambient.delivery or nullcontext()
+def _refuse_if_caller_gave_up():
+    """Refuse a saga effect once the running broker delivery's caller has
+    given up. A handler outside any broker delivery is never refused."""
+    if ambient.delivery is not None and time.monotonic() >= ambient.delivery:
+        raise SimulatorError("the caller gave up on this command; effect refused")
 
 
 class SagaUnitOfWorkService(UnitOfWorkService):
@@ -73,8 +74,8 @@ class SagaUnitOfWorkService(UnitOfWorkService):
     def flush_step(self, frame: StepFrame) -> None:
         """Install a handler's step, the local transaction of one service
         invocation, records and events in one batch, unless its caller gave
-        up. Each changed aggregate takes one new version, reserved outside
-        the delivery's lock, and each event carries its publisher's."""
+        up. Each changed aggregate takes one new version, and each event
+        carries its publisher's."""
         if not frame.changed:
             return
         for record in frame.changed.values():
@@ -82,9 +83,9 @@ class SagaUnitOfWorkService(UnitOfWorkService):
         events = [event.with_publisher_version(
                       frame.changed[event.publisher_aggregate_id].version)
                   for event in frame.events]
-        with _effect():
-            self._store.install(records=frame.changed.values(), events=events,
-                                stage_hook=self._hook)
+        _refuse_if_caller_gave_up()
+        self._store.install(records=frame.changed.values(), events=events,
+                            stage_hook=self._hook)
 
     # -- semantic locks ------------------------------------------------------
 
@@ -116,9 +117,9 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             record = latest.copy_for_write()
             record.saga_state = acquire_state
             record.version = self._versioning.increment_and_get_version_number()
-            with _effect():
-                self._store.install(records=[record])
-                uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
+            _refuse_if_caller_gave_up()
+            self._store.install(records=[record])
+            uow.locks.append(LockRecord(aggregate_id, latest.saga_state))
 
     def register_compensation(self, uow: UnitOfWork, action, label: str) -> None:
         uow.compensations.append((label, action))

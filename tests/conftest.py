@@ -7,16 +7,18 @@ from msim import SimConfig, Simulator
 
 
 @pytest.fixture(autouse=True)
-def no_broker_consumer_left_running():
-    """Fail a test that leaves a broker consumer running: it forgot close().
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started alive 2 s after it ends.
 
-    Parked consumers wait for work until their broker is closed.
+    A simulator starts no thread of its own, so every thread a test leaves
+    running is one the test started and did not see finish.
     """
+    before = set(threading.enumerate())
     yield
-    for thread in threading.enumerate():
-        if thread.name.startswith("broker-poller-"):
-            thread.join(2.0)
-            assert not thread.is_alive(), f"{thread.name} still running; close the broker"
+    deadline = time.monotonic() + 2.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), f"{thread.name} still running after the test"
 
 
 @pytest.fixture

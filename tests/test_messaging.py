@@ -473,42 +473,33 @@ def test_broker_consumers_under_stress_lose_no_message():
     assert len(handled) == 80
 
 
-def test_broker_close_stops_every_consumer():
-    gw = make_gateway(clock=RealClock())
-    gw.register_handler("closing", lambda c: time.sleep(0.02) or {})
-    gw.configure_transport("broker", delivery_ms=1, poll_ms=1)
-    threads = [threading.Thread(target=gw.send, args=(cmd(service="closing"),))
-               for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=5.0)
-        assert not t.is_alive()
-
-    def consumers():
-        return [t for t in threading.enumerate() if t.name == "broker-poller-closing"]
-
-    assert len(consumers()) > 1  # consumers started under load
-    gw.close()
-    assert consumers() == []
-
-
-def test_broker_reuses_its_parked_consumer():
+def test_broker_runs_each_handler_on_its_callers_thread():
     gw = make_gateway(clock=RealClock(), max_attempts=1)
     ran_on = []
-    gw.register_handler("svc", lambda c: ran_on.append(threading.current_thread()) or {})
+    gw.register_handler(
+        "svc", lambda c: ran_on.append((c.payload["caller"], threading.current_thread())) or {})
     gw.configure_transport("broker", delivery_ms=1, poll_ms=1)
+    before = threading.active_count()
+
+    def caller(index):
+        for _ in range(10):
+            gw.send(cmd(service="svc", payload={"caller": index}))
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
     try:
-        for _ in range(20):
-            gw.send(cmd(service="svc"))
-        pollers = [t for t in threading.enumerate() if t.name == "broker-poller-svc"]
-        assert len(pollers) == 1
-        assert set(ran_on) == set(pollers)
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+        assert threading.active_count() == before
     finally:
         gw.close()
+    assert len(ran_on) == 20
+    assert all(thread is callers[index] for index, thread in ran_on)
 
 
-def test_broker_reuses_the_consumer_of_a_timed_out_handler(monkeypatch):
+def test_broker_service_answers_after_a_timed_out_handler(monkeypatch):
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
     gw = make_gateway(clock=RealClock(), max_attempts=1)
@@ -527,11 +518,10 @@ def test_broker_reuses_the_consumer_of_a_timed_out_handler(monkeypatch):
         with pytest.raises(ServiceUnavailable):
             gw.send(cmd(service="svc", payload={"slow": True}))
         assert finished.wait(2.0)
-        time.sleep(0.05)  # the consumer parks again once its reply is discarded
         assert gw.send(cmd(service="svc")) == {"slow": False}
     finally:
         gw.close()
-    assert len(ran_on) == 2 and ran_on[0] is ran_on[1]
+    assert len(ran_on) == 2
     assert raised == []
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
 from msim.clock import VirtualClock
-from msim.errors import UnbalancedSpan
+from msim.coordination import Step, Workflow
+from msim.errors import SimulatedFault, UnbalancedSpan
 from msim.monitoring import Span, SpanRecorder
+from tests.conftest import seed_basic
 
 
 def test_root_with_two_children():
@@ -81,8 +84,6 @@ def test_open_spans_survive_flush(tmp_path):
 def test_injected_delay_reflected_in_step_span(make_sim, tmp_path):
     # A 25 ms impairment delay must land inside the step's span.
     sim = make_sim()
-    from tests.conftest import seed_basic
-
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
     plan = tmp_path / "addParticipant.csv"
     plan.write_text(
@@ -94,3 +95,38 @@ def test_injected_delay_reflected_in_step_span(make_sim, tmp_path):
     spans = {s.name: s for s in sim.recorder.finished_spans()}
     step_span = spans["step:addParticipantStep"]
     assert step_span.duration_ns() >= 25 * 1e6
+
+
+# One add_participant under saga with a remote version counter: the lock,
+# the step install and the unlock each take a counter call.
+ADD_PARTICIPANT_SPANS = sorted([
+    "addParticipant", "step:getUserStep", "step:addParticipantStep",
+    "handle:GetStudent", "handle:AddParticipant", "handle:transaction.commit",
+    *["handle:version.increment_and_get"] * 3,
+])
+
+
+@pytest.mark.parametrize("mode", ["rpc", "broker"])
+def test_handler_spans_join_their_callers_trace(make_sim, mode):
+    # A handler's span joins its caller's trace however deeply it was sent,
+    # so every transport records the same spans, compensations included.
+    sim = make_sim(transaction_model="saga", transport_mode=mode,
+                   versioning_strategy="centralized-remote", rpc_one_way_ms=0.0,
+                   broker_delivery_ms=0.0, broker_poll_ms=0.1)
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    sim.recorder.flush(os.devnull)
+    sim.app.add_participant(tournament_id, execution_id, user_ids[0])
+    assert sorted(s.name for s in sim.recorder.finished_spans()) == ADD_PARTICIPANT_SPANS
+
+    adding, _ = sim.app.functionalities.add_participant(
+        tournament_id, execution_id, user_ids[1])
+    failing = Workflow(
+        "failingAdd", sim.transactions, adding.uow,
+        [*adding.steps, Step("fails", lambda u: (_ for _ in ()).throw(SimulatedFault("x")))],
+        recorder=sim.recorder)
+    with pytest.raises(SimulatedFault):
+        failing.execute()
+    spans = sim.recorder.finished_spans()
+    root = next(s for s in spans if s.name == "failingAdd")
+    compensation = next(s for s in spans if s.name == "compensate:addParticipantStep")
+    assert compensation.trace_id == root.trace_id

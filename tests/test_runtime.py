@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from msim import SimConfig, Simulator
-from msim.errors import InvalidConfig, MalformedPlan
+from msim.errors import InvalidConfig, MalformedPlan, ServiceUnavailable
 from msim.messaging import Command, SagaCommandEnvelope
 from msim.sampleapp.domain import IN_UPDATE_TOURNAMENT
 from tests.conftest import seed_basic
@@ -147,8 +147,6 @@ def test_forbidden_state_rejects_before_handler_runs(saga_sim):
         "probe", lambda c: calls.append(1) or {},
         decorators=(sim.transactions.decorator(),))
     blocked = sim.transactions.create_unit_of_work()
-    from msim.errors import ServiceUnavailable
-
     with pytest.raises(ServiceUnavailable):
         sim.gateway.send(SagaCommandEnvelope(
             inner=Command(
@@ -182,5 +180,5 @@ def test_saga_runs_on_snowflake_ids_under_the_virtual_clock(make_sim):
 def test_context_manager_closes_the_broker():
     with Simulator(SimConfig(transport_mode="broker", clock_mode="virtual")) as sim:
         sim.app.create_user("alice")
-    assert not [thread for thread in threading.enumerate()
-                if thread.name.startswith("broker-poller-")]
+    with pytest.raises(ServiceUnavailable, match="broker closed"):
+        sim.app.create_user("bob")
