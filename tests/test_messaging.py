@@ -473,6 +473,49 @@ def test_broker_consumers_under_stress_lose_no_message():
     assert len(handled) == 80
 
 
+def test_broker_close_stops_every_consumer():
+    # The caller consumes its own message, so once the broker is closed no
+    # service takes another one and no thread of the broker's is left behind.
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    handled = []
+    for service in ("closing", "other"):
+        gw.register_handler(service, lambda c: time.sleep(0.02) or handled.append(1) or {})
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1)
+    before = threading.active_count()
+    threads = [threading.Thread(target=gw.send, args=(cmd(service="closing"),))
+               for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    assert len(handled) == 4
+    gw.close()
+    assert threading.active_count() == before
+    for service in ("closing", "other"):
+        with pytest.raises(ServiceUnavailable, match="broker closed"):
+            gw.send(cmd(service=service))
+    assert len(handled) == 4
+
+
+def test_broker_reuses_its_parked_consumer():
+    # Back-to-back sends from one caller are all consumed on that caller's
+    # thread; the broker starts no thread of its own for them.
+    gw = make_gateway(clock=RealClock(), max_attempts=1)
+    ran_on = []
+    gw.register_handler("svc", lambda c: ran_on.append(threading.current_thread()) or {})
+    gw.configure_transport("broker", delivery_ms=1, poll_ms=1)
+    before = threading.active_count()
+    try:
+        for _ in range(20):
+            gw.send(cmd(service="svc"))
+        assert threading.active_count() == before
+    finally:
+        gw.close()
+    assert len(ran_on) == 20
+    assert set(ran_on) == {threading.current_thread()}
+
+
 def test_broker_runs_each_handler_on_its_callers_thread():
     gw = make_gateway(clock=RealClock(), max_attempts=1)
     ran_on = []
