@@ -1,9 +1,9 @@
 """Aggregates: identity, immutable version chains, and the committed store.
 
 Aggregates evolve copy-on-write: every successful commit appends a new
-immutable record to the aggregate's version chain, linked to its
-predecessor through ``prev_version``. Working copies carry version 0 until
-a transaction service assigns the commit version.
+immutable record to the aggregate's version chain, linked to its chain
+predecessor through ``prev_version`` under both models. Working copies
+carry version 0 until a transaction service assigns the commit version.
 
 A chain keeps every version unless its writer says which versions a reader
 can still need: an install given the oldest snapshot still live drops, from
@@ -18,8 +18,11 @@ new list before it changes anything; only after its last stage does it
 write the events past the visible count, put the new chains in place and
 advance that count. A crash at any intermediate point of a commit therefore
 leaves either the complete batch or nothing, which is what makes the
-transactional outbox honest under fault injection. Publishing moves one
-cursor, so the published events are always a prefix of the log.
+transactional outbox honest under fault injection. An install refuses,
+with ``StaleWrite``, a record whose ``prev_version`` is no longer its
+chain's latest: it would lose the change that superseded it. Publishing
+moves one cursor, so the published events are always a prefix of the log,
+and indexes only the newly published events.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import (
     AggregateNotFound,
     MergeConflictUnresolvable,
     SimulatorError,
+    StaleWrite,
 )
 
 NOT_IN_SAGA = "NOT_IN_SAGA"
@@ -148,7 +152,8 @@ class SimulationStore:
     touched chains, then puts them in place and only then extends the event
     log, so a reader sees a record before its events; stage_hook (when
     given) is called between internal build steps so tests can inject
-    crashes at every intermediate point.
+    crashes at every intermediate point. The index of published events
+    only grows, so only a query naming a new payload key takes the lock.
     """
 
     def __init__(self):
@@ -156,6 +161,10 @@ class SimulationStore:
         self._events = []
         self._published = 0  # length of the published prefix of _events
         self._event_ids = set()  # ids of the events in the log
+        # (type, publisher, None) -> published events, oldest first, and
+        # (type, publisher, payload key) -> {value: those events}
+        self._index = {}
+        self._payload_keys = set()  # the payload keys some query has named
         self._lock = threading.RLock()
 
     # -- writes ---------------------------------------------------------
@@ -191,6 +200,10 @@ class SimulationStore:
                         raise SimulatorError(
                             f"duplicate version {rec.version} for aggregate {rec.aggregate_id}"
                         )
+                if rec.prev_version is not None and (
+                        not chain or chain[-1].version != rec.prev_version):
+                    raise StaleWrite(f"aggregate {rec.aggregate_id} moved past "
+                                     f"version {rec.prev_version} since it was read")
                 chain.insert(at, rec)
                 if oldest_snapshot is not None:
                     oldest_readable = bisect_right(chain, oldest_snapshot, key=_by_version) - 1
@@ -208,16 +221,25 @@ class SimulationStore:
             self._events.extend(batch.values())
 
     def publish(self, upto: int) -> int:
-        """Publish the first `upto` events of the log.
+        """Publish the first `upto` events of the log, indexing the new ones.
 
         Returns how many events this call newly published, so a second call
         with the same `upto` returns 0.
         """
         with self._lock:
-            upto = min(upto, len(self._events))
-            newly = max(0, upto - self._published)
-            self._published += newly
-            return newly
+            newly = self._events[self._published:upto]
+            for event in newly:
+                entry = (event.event_type, event.publisher_aggregate_id, None)
+                self._index.setdefault(entry, []).append(event)
+                for key in self._payload_keys:
+                    self._index_payload(event, key)
+            self._published += len(newly)
+            return len(newly)
+
+    def _index_payload(self, event, key) -> None:
+        if key in event.payload:
+            entry = (event.event_type, event.publisher_aggregate_id, key)
+            self._index.setdefault(entry, {}).setdefault(event.payload[key], []).append(event)
 
     # -- reads ------------------------------------------------------------
 
@@ -275,10 +297,26 @@ class SimulationStore:
         for chain in self._records.copy().values():
             yield from chain
 
-    def events(self, start: int = 0, stop: int | None = None) -> list:
-        """A copy of the event log, oldest first, or of its [start:stop] slice."""
+    def events(self, start: int = 0) -> list:
+        """A copy of the event log from index start, oldest first."""
         with self._lock:
-            return self._events[start:stop]
+            return self._events[start:]
+
+    def published_events(self, event_type: str, publisher: int, payload_match=None):
+        """Published events of event_type by publisher, oldest first, with
+        payload[key] == value when payload_match is (key, value). The first
+        query naming a key indexes the published events by it, once.
+        """
+        if payload_match is None:
+            return self._index.get((event_type, publisher, None), ())
+        key, value = payload_match
+        if key not in self._payload_keys:
+            with self._lock:
+                if key not in self._payload_keys:
+                    for event in self._events[:self._published]:
+                        self._index_payload(event, key)
+                    self._payload_keys.add(key)  # visible once complete
+        return self._index.get((event_type, publisher, key), {}).get(value, ())
 
     def published_count(self) -> int:
         """Length of the published prefix of events()."""

@@ -29,10 +29,10 @@ class RealClock(Clock):
 class VirtualClock(Clock):
     """Virtual time: ``sleep_ms`` advances one shared counter instead of blocking.
 
-    Sleeps are instant, but concurrent sleeps add up instead of overlapping
-    and threads still interleave on the real scheduler, so two runs are not
-    reproducible. A positive sleep yields briefly so spinning background
-    threads stay civil; a sleep of zero or less does nothing.
+    Sleeps are instant and never block or yield, but concurrent sleeps add
+    up instead of overlapping and threads still interleave on the real
+    scheduler, so two runs are not reproducible. A sleep of zero or less
+    does nothing.
     """
 
     def __init__(self, start_ns: int = 0):
@@ -50,4 +50,3 @@ class VirtualClock(Clock):
     def sleep_ms(self, ms: float) -> None:
         if ms > 0:
             self.advance_ms(ms)
-            time.sleep(0.00005)

@@ -61,6 +61,11 @@ class ConcurrentCommitConflict(InfraError):
     """Causal commit could not enter the commit section in time. Retryable."""
 
 
+class StaleWrite(InfraError):
+    """A write based on a version that another writer has since superseded.
+    Retryable: the retry reloads the aggregate."""
+
+
 class ServiceUnavailable(InfraError):
     """Retries exhausted or no broker reply. An enclosing call retries it."""
 
@@ -160,6 +165,7 @@ _BUILTIN_ERRORS = (
     MergeConflictUnresolvable,
     SemanticLockConflict,
     ConcurrentCommitConflict,
+    StaleWrite,
     CounterUnderflow,
     SimulatedFault,
     SimulatedInfraFault,

@@ -7,6 +7,8 @@ the configured delivery latency, so every service sees them at once.
 Downstream aggregates consume through subscription matching: an event is
 delivered to a subscriber when its type and sender match and its publisher
 version is strictly newer than what the subscriber has already processed.
+The store indexes the events as it publishes them; a subscription query
+reads that index.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ class NotificationService:
         self.delivery_latency_ms = delivery_latency_ms
         self._subscribed_types: set[str] = set()
         self.event_ids = EventIdGenerator()
-        # (published count it was built at, index of the published events)
-        self._index: tuple[int, dict] = (0, {})
 
     def declare_subscription(self, event_type: str) -> None:
         self._subscribed_types.add(event_type)
@@ -78,50 +78,17 @@ class NotificationService:
 
     # -- subscription queries ----------------------------------------------
 
-    def _published_index(self) -> dict:
-        """Published events by (event_type, publisher), built once per
-        publication: each entry is (events in log order, {payload key:
-        {value: events}}), the payload part filled per key on first use."""
-        published = self._store.published_count()
-        built_at, index = self._index
-        if built_at == published:
-            return index
-        index = {}
-        for event in self._store.events(stop=published):
-            key = (event.event_type, event.publisher_aggregate_id)
-            if key not in index:
-                index[key] = ([], {})
-            index[key][0].append(event)
-        self._index = (published, index)
-        return index
-
     def get_subscribed_events(self, subscriptions) -> list[DomainEvent]:
         """Published events matching any subscription, oldest first.
 
-        Each subscription looks up the events of its (event_type, sender),
-        narrowed by its payload requirement, in an index of the log, so a
-        query costs what its subscriptions match, not the log's length.
+        Each subscription reads the store's index of the published events
+        of its (event_type, sender), narrowed by its payload requirement, so
+        a query costs what its subscriptions match, not the log's length.
         """
-        index = self._published_index()
         matched: dict[int, DomainEvent] = {}
         for sub in subscriptions:
-            entry = index.get((sub.event_type, sub.sender_aggregate_id))
-            if entry is None:
-                continue
-            events, by_key = entry
-            if sub.payload_match is not None:
-                key, value = sub.payload_match
-                by_value = by_key.get(key)
-                if by_value is None:
-                    # Built whole before it is published: another thread
-                    # querying the same log sees it complete or not at all.
-                    by_value = {}
-                    for event in events:
-                        if key in event.payload:
-                            by_value.setdefault(event.payload[key], []).append(event)
-                    by_key[key] = by_value
-                events = by_value.get(value, ())
-            for event in events:
+            for event in self._store.published_events(
+                    sub.event_type, sub.sender_aggregate_id, sub.payload_match):
                 if event.publisher_version > sub.sender_last_version:
                     matched[event.event_id] = event
         return sorted(matched.values(), key=lambda e: (e.publisher_version, e.event_id))

@@ -140,7 +140,7 @@ class CausalUnitOfWorkService(UnitOfWorkService):
                         working.verify_invariants()
                         self._hook(f"commit:merged:{aggregate_id}")
                     working.version = commit_version
-                    working.prev_version = None if ancestor is None else ancestor.version
+                    working.prev_version = None if latest is None else latest.version
                     final_records.append(working)
                     self._hook(f"commit:staged:{aggregate_id}")
                 outbox = [e.with_publisher_version(commit_version) for e in uow.events]

@@ -26,8 +26,10 @@ A handler has two effects: taking a semantic lock and installing its step.
 A broker handler makes neither once its caller's response deadline has
 passed, so a handler that outlives its caller's timeout changes nothing the
 abort would not undo. The handler runs on its caller's thread, so no lock
-guards that check: the caller cannot give up while it runs. Unlock writes
-are never refused, so an aggregate is always unlocked.
+guards that check: the caller cannot give up while it runs. A write whose
+aggregate moved since it was loaded raises StaleWrite, so the gateway
+retries its command, which reloads it; an unlock is then finished by the
+retried commit or abort, so an aggregate is always unlocked.
 """
 
 from __future__ import annotations

@@ -12,7 +12,13 @@ from msim.aggregate import (
     LifecycleState,
     SimulationStore,
 )
-from msim.errors import AggregateDeleted, AggregateNotFound, InjectedCrash, SimulatorError
+from msim.errors import (
+    AggregateDeleted,
+    AggregateNotFound,
+    InjectedCrash,
+    SimulatorError,
+    StaleWrite,
+)
 from msim.notification import DomainEvent
 from msim.sampleapp.domain import CourseExecution, MemberRef, Tournament
 
@@ -211,6 +217,27 @@ def test_prev_links_terminate():
         assert cursor.version > cursor.prev_version
         cursor = store.record_at(1, cursor.prev_version)
     assert cursor.version == 2
+
+
+def test_install_refuses_a_record_written_on_a_superseded_version():
+    # A record must extend the version it was written on; the whole batch
+    # is refused otherwise.
+    store = SimulationStore()
+    store.install(records=[make_tournament(version=3)])
+    first = store.latest(1).copy_for_write()
+    first.version = 4
+    store.install(records=[first])
+    stale = store.record_at(1, 3).copy_for_write()
+    stale.version = 5
+    other = make_tournament(aggregate_id=2, version=5)
+    with pytest.raises(StaleWrite):
+        store.install(records=[other, stale])
+    assert store.versions(1) == [3, 4]
+    assert not store.exists(2)
+    orphan = make_tournament(aggregate_id=3, version=6)
+    orphan.prev_version = 5
+    with pytest.raises(StaleWrite):
+        store.install(records=[orphan])
 
 
 def test_install_batch_is_all_or_nothing():

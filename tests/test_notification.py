@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -302,6 +303,120 @@ def test_indexed_matching_equals_brute_force_filter(events, later, publish_upto,
         check()
         store.publish(upto)
         check()
+
+
+def brute_force_matches_payload(events, subscriptions):
+    return sorted((e for e in events if any(s.matches(e) for s in subscriptions)),
+                  key=lambda e: (e.publisher_version, e.event_id))
+
+
+class CountingPayload(dict):
+    """A payload that records itself in looked_up on each key lookup."""
+
+    def __init__(self, looked_up, **items):
+        super().__init__(**items)
+        self._looked_up = looked_up
+
+    def __contains__(self, key):
+        self._looked_up.append(self)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self._looked_up.append(self)
+        return super().__getitem__(key)
+
+
+def test_a_query_after_a_publication_reads_only_the_new_payloads():
+    # The index is extended by what a publication adds: after the first
+    # payload query has indexed 1 000 published events, publishing one more
+    # and querying again looks into that one event's payload only.
+    store = SimulationStore()
+    notification = NotificationService(store, VirtualClock())
+    looked_up = []
+
+    def publish(event_id, user):
+        event = DomainEvent(event_id=event_id, event_type="A", publisher_aggregate_id=1,
+                            publisher_version=event_id,
+                            payload=CountingPayload(looked_up, user=user))
+        store.install(events=[event])
+        notification.publish_pending()
+
+    for event_id in range(1, 1001):
+        publish(event_id, user=event_id % 10)
+    subs = [EventSubscription("A", 1, 0, ("user", 3))]
+    assert len(notification.get_subscribed_events(subs)) == 100
+    looked_up.clear()
+    publish(1001, user=3)
+    assert len(notification.get_subscribed_events(subs)) == 101
+    assert len({id(payload) for payload in looked_up}) == 1
+
+
+def test_queries_during_publications_see_a_published_prefix():
+    # Oracle: each query answered while events are published one at a time
+    # holds every match among the events published before it started and
+    # nothing beyond the matches among those published once it returned.
+    # Reading the log takes the store's lock, so a publication running
+    # during the query has finished before the upper bound is read.
+    store = SimulationStore()
+    notification = NotificationService(store, VirtualClock())
+    subs = [EventSubscription("A", 1, 2, ("user", 1)),
+            EventSubscription("A", 2, 0, ("other", 2)),
+            EventSubscription("B", 1, 0)]
+    total = 300
+    querying, done = threading.Event(), threading.Event()
+    errors = []
+
+    def publish():
+        try:
+            querying.wait(5)
+            for event_id in range(1, total + 1):
+                store.install(events=[DomainEvent(
+                    event_id=event_id, event_type="AB"[event_id % 2],
+                    publisher_aggregate_id=1 + event_id % 3 % 2,
+                    publisher_version=event_id % 7,
+                    payload={"user": event_id % 3, "other": event_id % 4})])
+                notification.publish_pending()
+                time.sleep(0)  # let the querier in between publications
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def query():
+        try:
+            while not done.is_set():
+                before = store.published_count()
+                got = notification.get_subscribed_events(subs)
+                log = store.events()
+                after = store.published_count()
+                lower = brute_force_matches_payload(log[:before], subs)
+                upper = brute_force_matches_payload(log[:after], subs)
+                assert got == sorted(got, key=lambda e: (e.publisher_version, e.event_id))
+                assert {e.event_id for e in lower} <= {e.event_id for e in got}
+                assert {e.event_id for e in got} <= {e.event_id for e in upper}
+                querying.set()
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            querying.set()
+
+    threads = [threading.Thread(target=query) for _ in range(2)]
+    threads.append(threading.Thread(target=publish))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.published_count() == total
+    assert notification.get_subscribed_events(subs) == brute_force_matches_payload(
+        store.events(), subs)
 
 
 def test_empty_subscription_list(saga_sim):

@@ -612,6 +612,30 @@ def test_lock_is_not_held_up_by_another_aggregates_lock(saga_sim, monkeypatch):
     assert sim.store.latest(parked_on).saga_state == IN_UPDATE_TOURNAMENT
 
 
+def test_step_on_a_superseded_version_is_retried_not_lost(saga_sim, monkeypatch):
+    # Renames take no semantic lock. One rename's step is parked between its
+    # load and its install while another rename of the same execution
+    # installs; the parked step's install is refused as stale and the
+    # gateway's retry reloads the execution, so neither rename is lost.
+    sim = saga_sim
+    execution_id, _, _, user_ids = seed_basic(sim)
+    parked, release = park_counter_calls_of(sim, monkeypatch, "renamer")
+    renamer = threading.Thread(
+        target=sim.app.update_student_name, name="renamer",
+        args=(execution_id, user_ids[0], "first"))
+    renamer.start()
+    try:
+        assert parked.wait(5)
+        sim.app.update_student_name(execution_id, user_ids[1], "second")
+    finally:
+        release.set()
+        renamer.join(5)
+    assert not renamer.is_alive()
+    students = sim.store.latest(execution_id).students
+    assert students[user_ids[0]].name == "first"
+    assert students[user_ids[1]].name == "second"
+
+
 def test_lock_is_not_held_up_by_another_aggregates_unlock(saga_sim, monkeypatch):
     # An unlock write's version-counter call holds up no other aggregate.
     sim = saga_sim
