@@ -58,7 +58,7 @@ class SemanticLockConflict(InfraError):
 
 
 class ConcurrentCommitConflict(InfraError):
-    """Causal commit could not enter the commit section in time. Retryable."""
+    """Causal commit was not admitted in time. Retryable."""
 
 
 class StaleWrite(InfraError):

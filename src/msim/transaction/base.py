@@ -12,9 +12,10 @@ its running handler's step, a causal one its unit of work, and each installs
 atomically, events with their publishers. The service also wraps each
 application command for its model before the command is sent (``envelope``)
 and decides whether a step's compensation is kept, so application code names
-no model. Both models bound their one wait, a semantic lock or the commit
-section, with a FifoGate: a caller holds a key, FIFO per key, for a block
-of its own, and the gate's lock is never held across that block.
+no model. Both models bound their waits, a semantic lock or a commit's
+admission, with a FifoGate: a caller holds a set of keys, FIFO per key,
+for a block of its own, and the gate's lock is never held across that
+block.
 
 Commit and abort are themselves dispatched as infrastructure commands
 through the gateway, so they inherit transport latency and the retry loop;
@@ -61,17 +62,19 @@ class UnitOfWork:
 
 
 class FifoGate:
-    """Bounded FIFO admission per key, the one wait both transactional
-    models share.
+    """Bounded FIFO admission per key, the wait both transactional models
+    share.
 
-    A caller queues per key and enters once it is the head of its key's
-    queue and its ready(), a pure check run under the gate's lock, is true,
-    so a waiter cannot starve behind lucky latecomers. It then holds the key
+    A caller names its keys and joins every key's queue in one step under
+    the gate's lock, so the queues share one total order and no two callers
+    can wait for each other in a cycle. It enters once it heads every queue
+    and its ready(), a pure check run under the gate's lock, is true, so a
+    waiter cannot starve behind lucky latecomers. It then holds its keys
     for its whole ``with`` block, outside the gate's lock, so a slow holder
-    stalls only its own key. A caller still outside after wait_ms raises the
-    conflict its caller supplies. Leaving the key wakes the waiters, and so
-    does changed(), called once a state that some ready() reads has
-    changed. One condition serves every key.
+    stalls only the callers that share a key with it. A caller still
+    outside after wait_ms raises the conflict its caller supplies. Leaving
+    wakes the waiters, and so does changed(), called once a state that some
+    ready() reads has changed. One condition serves every key.
     """
 
     def __init__(self):
@@ -79,8 +82,9 @@ class FifoGate:
         self._queues: dict[object, deque] = {}
 
     @contextmanager
-    def hold(self, key, wait_ms: float, conflict, ready=lambda: True):
-        """Hold key once this caller heads its queue and ready() is true.
+    def hold(self, keys, wait_ms: float, conflict, ready=lambda: True):
+        """Hold every key of `keys` once this caller heads each key's queue
+        and ready() is true.
 
         conflict() builds the exception raised once wait_ms has passed.
         """
@@ -89,11 +93,13 @@ class FifoGate:
         now = time.monotonic
         deadline = now() + wait_ms / 1000.0
         token = object()
+        keys = set(keys)
         try:
             with self._cond:
-                queue = self._queues.setdefault(key, deque())
-                queue.append(token)
-                while not (queue[0] is token and ready()):
+                queues = [self._queues.setdefault(key, deque()) for key in keys]
+                for queue in queues:
+                    queue.append(token)
+                while not (all(queue[0] is token for queue in queues) and ready()):
                     remaining = deadline - now()
                     if remaining <= 0:
                         raise conflict()
@@ -101,9 +107,11 @@ class FifoGate:
             yield
         finally:
             with self._cond:
-                queue.remove(token)
-                if not queue:
-                    del self._queues[key]
+                for key in keys:
+                    queue = self._queues[key]
+                    queue.remove(token)
+                    if not queue:
+                        del self._queues[key]
                 self._cond.notify_all()
 
     def changed(self) -> None:

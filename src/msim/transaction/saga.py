@@ -15,7 +15,7 @@ aggregate's version chain, and a command whose envelope forbids the current
 state is rejected with a retryable conflict, queuing conflicting
 functionalities behind the gateway backoff. The wait for a forbidden state
 to clear is bounded and FIFO per aggregate: a lock holds its aggregate's
-key of the FifoGate shared with the causal commit section while it writes,
+key of a FifoGate, the admission causal commits also use, while it writes,
 so its version-counter call holds up no other aggregate. An unlock takes
 no key: it writes, then wakes the waiters. Commit releases the locks. Abort
 runs the registered compensations in reverse order, each writing a new
@@ -110,7 +110,7 @@ class SagaUnitOfWorkService(UnitOfWorkService):
             return latest.saga_state not in forbidden_states
 
         with self._gate.hold(
-            aggregate_id, self.lock_wait_ms,
+            (aggregate_id,), self.lock_wait_ms,
             lambda: SemanticLockConflict(
                 f"aggregate {aggregate_id} is in a forbidden saga state"),
             ready=ready,

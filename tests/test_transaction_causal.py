@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -295,12 +296,13 @@ def read_only_uow(sim, *aggregate_ids):
 def park_committer_at(sim, uow, stage):
     """Run uow's commit in a thread that blocks at `stage` until released.
 
-    Returns (thread, release event); the commit section is held on return.
+    Only the first commit to reach `stage` blocks there. Returns (thread,
+    release event); what the commit holds at `stage` is held on return.
     """
     parked, release = threading.Event(), threading.Event()
 
     def hook(reached):
-        if reached == stage:
+        if reached == stage and not parked.is_set():
             parked.set()
             release.wait(5)
 
@@ -353,7 +355,7 @@ def test_read_only_commit_does_not_wait_for_the_commit_section(causal_sim):
     reader = read_only_uow(sim, tournament_id)
     thread, release = park_committer_at(sim, writer, "commit:pre-install")
     try:
-        sim.transactions._do_commit(reader)  # the section is held by the writer
+        sim.transactions._do_commit(reader)  # the writer holds the tournament
         assert reader.status is UowStatus.COMMITTED
     finally:
         release.set()
@@ -363,7 +365,7 @@ def test_read_only_commit_does_not_wait_for_the_commit_section(causal_sim):
 
 
 def test_commit_section_waiters_enter_in_queue_order(causal_sim):
-    # While a writer holds the commit section, the head waiter gives up at
+    # While a writer holds the tournament's key, the head waiter gives up at
     # its bound without holding up the two behind it, which then enter in
     # the order they queued.
     sim = causal_sim
@@ -387,7 +389,7 @@ def test_commit_section_waiters_enter_in_queue_order(causal_sim):
         for name, wait_ms in (("impatient", 50), ("first", 5000), ("second", 5000)):
             service.commit_wait_ms = wait_ms  # read as the waiter queues
             waiters.append(queue_waiter(
-                service._gate, None, outcomes, name,
+                service._gate, tournament_id, outcomes, name,
                 lambda uow=uows[name]: service._do_commit(uow)))
         impatient, first, second = waiters
         impatient.join(5)
@@ -405,6 +407,100 @@ def test_commit_section_waiters_enter_in_queue_order(causal_sim):
     assert uows["impatient"].status is UowStatus.ACTIVE
     participants = sim.store.latest(tournament_id).participants
     assert set(participants) == {user_ids[0], user_ids[2], user_ids[3]}
+
+
+def test_commit_is_not_held_up_by_another_aggregates_commit(causal_sim):
+    # A committer parked before its install holds the keys of what it
+    # writes, not the whole commit path: a rename of the execution commits
+    # at once while the tournament's commit is parked.
+    sim = causal_sim
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    writer = sim.transactions.create_unit_of_work()
+    stage_participant(sim, writer, tournament_id, user_ids[0])
+    thread, release = park_committer_at(sim, writer, "commit:pre-install")
+    try:
+        started = time.monotonic()
+        sim.app.update_student_name(execution_id, user_ids[1], "renamed")
+        assert time.monotonic() - started < 2
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert writer.status is UowStatus.COMMITTED
+    assert user_ids[0] in sim.store.latest(tournament_id).participants
+    assert sim.store.latest(execution_id).students[user_ids[1]].name == "renamed"
+
+
+def test_unit_of_work_reads_a_commit_made_while_another_is_parked(causal_sim):
+    # Read-your-writes: with the tournament's commit still parked, a unit of
+    # work created right after the execution's commit sees that commit.
+    sim = causal_sim
+    execution_id, tournament_id, _, user_ids = seed_basic(sim)
+    writer = sim.transactions.create_unit_of_work()
+    stage_participant(sim, writer, tournament_id, user_ids[0])
+    thread, release = park_committer_at(sim, writer, "commit:pre-install")
+    try:
+        sim.app.update_student_name(execution_id, user_ids[1], "renamed")
+        reader = sim.transactions.create_unit_of_work()
+        execution = sim.transactions.aggregate_load(reader, execution_id)
+        assert execution.students[user_ids[1]].name == "renamed"
+        assert sim.transactions.aggregate_load(reader, tournament_id).participants == {}
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert writer.status is UowStatus.COMMITTED
+
+
+def test_disjoint_commits_install_each_version_once_and_in_order(make_sim, monkeypatch):
+    # Threads commit renames of their own users in parallel, each paying a
+    # real modeled store write. Every install takes a version of its own, in
+    # the order reserved, and the horizon ends at the counter.
+    sim = make_sim(transaction_model="tcc", clock_mode="real", tcc_commit_store_ms=1.0)
+    service = sim.transactions
+    service.commit_wait_ms = 10_000
+    _, _, _, user_ids = seed_basic(sim, students=6)
+    installed = []
+    install = sim.store.install
+
+    def recording_install(records=(), **kwargs):
+        installed.append({record.version for record in records})
+        install(records=records, **kwargs)
+
+    monkeypatch.setattr(sim.store, "install", recording_install)
+    errors = []
+
+    def rename(user_id, rounds=15):
+        try:
+            for i in range(rounds):
+                uow = service.create_unit_of_work()
+                user = service.aggregate_load(uow, user_id)
+                user.name = f"name-{i}"
+                service.register_changed(uow, user)
+                service.commit(uow)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rename, args=(u,)) for u in user_ids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    versions = [version for batch in installed for version in batch]
+    assert all(len(batch) == 1 for batch in installed)
+    assert len(versions) == 6 * 15
+    assert versions == sorted(set(versions))
+    assert service._horizon == sim.versioning.get_version_number() == versions[-1]
+    assert service._gate._queues == {}
+    for user_id in user_ids:
+        assert sim.store.latest(user_id).name == "name-14"
 
 
 def test_read_only_commit_keeps_snapshot_isolation(causal_sim):

@@ -47,7 +47,7 @@ def test_gate_holds_each_key_for_one_caller_at_a_time():
 
     def hold_and_count(key):
         for _ in range(rounds):
-            with gate.hold(key, 10_000, lambda: AssertionError("gate wait timed out")):
+            with gate.hold((key,), 10_000, lambda: AssertionError("gate wait timed out")):
                 seen = counts[key]
                 time.sleep(0)  # let another thread run mid-update
                 counts[key] = seen + 1
@@ -65,4 +65,39 @@ def test_gate_holds_each_key_for_one_caller_at_a_time():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert counts == {0: rounds * threads_per_key, 1: rounds * threads_per_key}
+    assert gate._queues == {}
+
+
+def test_gate_holds_overlapping_key_sets_without_deadlock():
+    # Callers name two keys in opposite orders, beside callers of one key.
+    # Each joins all its queues in one step, so none waits for another in a
+    # cycle, no update made under a held key is lost, and every key is
+    # released once the holders are done.
+    gate = FifoGate()
+    counts = {"a": 0, "b": 0}
+    rounds = 200
+    key_sets = [("a", "b"), ("b", "a"), ("a",), ("b",)] * 2
+
+    def hold_and_count(keys):
+        for _ in range(rounds):
+            with gate.hold(keys, 10_000, lambda: AssertionError("gate wait timed out")):
+                for key in keys:
+                    seen = counts[key]
+                    time.sleep(0)  # let another thread run mid-update
+                    counts[key] = seen + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold_and_count, args=(keys,))
+                   for keys in key_sets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = {key: rounds * sum(key in keys for keys in key_sets) for key in counts}
+    assert counts == expected
     assert gate._queues == {}
