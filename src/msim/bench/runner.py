@@ -53,6 +53,7 @@ class BenchConfig:
             "retry_base_ms": self.retry_base_ms,
             "retry_multiplier": self.retry_multiplier,
             "clock_mode": "real",
+            "impairment_plan_dir": self.impairments_dir,
             **self.extra_sim_config,
         })
 
@@ -113,8 +114,6 @@ def _run_once(cfg: BenchConfig) -> dict:
     """Seed and storm one fresh simulator; return that run's entry."""
     sim = Simulator(cfg.sim_config())
     try:
-        if cfg.impairments_dir:
-            sim.impairment.load_dir(cfg.impairments_dir)
         tournament_id, execution_id, user_ids = _seed_world(sim, cfg)
         latencies, outcomes = _storm(sim, cfg, tournament_id, execution_id, user_ids)
         committed = sum(outcomes)

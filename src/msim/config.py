@@ -69,12 +69,14 @@ class SimConfig:
             raise InvalidConfig("retry.max_attempts must be >= 1")
         if self.retry_multiplier < 1:
             raise InvalidConfig("retry.multiplier must be >= 1")
-        if self.broker_response_timeout_s <= 0:
-            raise InvalidConfig("broker.response_timeout_s must be > 0")
-        for name in ("retry_base_ms", "versioning_db_ms", "saga_lock_wait_ms",
+        for name in ("broker_response_timeout_s", "broker_poll_ms"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(f"{name} must be > 0")
+        for name in ("rpc_one_way_ms", "broker_delivery_ms", "retry_base_ms",
+                     "versioning_db_ms", "saga_lock_wait_ms",
                      "tcc_commit_wait_ms", "tcc_commit_store_ms"):
             if getattr(self, name) < 0:
-                raise InvalidConfig(f"{name} must be >= 0")
+                raise InvalidConfig(f"{name}: a wait or latency must be >= 0")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "SimConfig":

@@ -86,16 +86,8 @@ class UnsupportedByStrategy(SimulatorError):
     """Operation not provided by the configured versioning strategy."""
 
 
-class CounterUnderflow(DomainError):
-    """Decrement requested on a centralized counter already at zero."""
-
-
 class ClockMovedBackwards(SimulatorError):
     pass
-
-
-class SequenceExhausted(SimulatorError):
-    """Snowflake sequence overflow with spinning disabled (test hook)."""
 
 
 class InvalidConfig(SimulatorError):
@@ -166,7 +158,6 @@ _BUILTIN_ERRORS = (
     SemanticLockConflict,
     ConcurrentCommitConflict,
     StaleWrite,
-    CounterUnderflow,
     SimulatedFault,
     SimulatedInfraFault,
 )

@@ -1,8 +1,9 @@
 """Simulator runtime: builds and wires every module from one SimConfig.
 
 Swapping the transactional model, the transport, or the versioning strategy
-is purely a configuration change; the wiring below is the only place that
-reads those switches.
+is purely a configuration change. The wiring below reads those switches,
+and ``CommandGateway.configure_transport`` switches on the transport mode
+to build its transport; nothing else reads them.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from .monitoring import SpanRecorder
 from .notification import EventHandlingLoop, NotificationService
 from .sampleapp.facade import register_sample_app
 from .transaction import CausalUnitOfWorkService, SagaUnitOfWorkService
-from .versioning import (
-    VERSIONING_SERVICE,
-    CentralizedVersionService,
-    RemoteVersionService,
-    SnowflakeConfig,
-    SnowflakeVersionService,
-    version_command_handler,
-)
+from .versioning import CentralizedVersionService, RemoteVersionService, SnowflakeVersionService
 
 
 class Simulator:
@@ -88,10 +82,8 @@ class Simulator:
         if config.versioning_strategy == "snowflake":
             return SnowflakeVersionService(
                 self.clock,
-                SnowflakeConfig(
-                    epoch_origin_ms=config.versioning_epoch_origin_ms,
-                    machine_id=config.versioning_machine_id,
-                ),
+                machine_id=config.versioning_machine_id,
+                epoch_origin_ms=config.versioning_epoch_origin_ms,
             )
         backend = CentralizedVersionService(
             clock=self.clock, db_latency_ms=config.versioning_db_ms
@@ -99,10 +91,7 @@ class Simulator:
         if config.versioning_strategy == "centralized":
             return backend
         # centralized-remote: the counter lives behind the transport.
-        self.gateway.register_handler(
-            VERSIONING_SERVICE, version_command_handler(backend)
-        )
-        return RemoteVersionService(self.gateway)
+        return RemoteVersionService(self.gateway, backend)
 
     def _build_transactions(self, config: SimConfig):
         common = dict(

@@ -364,11 +364,11 @@ def test_criterion_08_versioning_swap_effect():
 def test_criterion_09_snowflake_properties():
     with criterion(9, "Snowflake: 100k ids, no collisions, per-generator ordered", 2):
         from msim.clock import RealClock
-        from msim.versioning import SnowflakeConfig, SnowflakeVersionService
+        from msim.versioning import SnowflakeVersionService
 
         clock = RealClock()
         generators = [
-            SnowflakeVersionService(clock, SnowflakeConfig(machine_id=m))
+            SnowflakeVersionService(clock, machine_id=m)
             for m in range(4)
         ]
         buckets = [[] for _ in range(4)]

@@ -148,6 +148,20 @@ def test_trace_out_writes_spans(tmp_path):
     assert len(trace.read_text().splitlines()) > 0
 
 
+def test_bench_plan_fires(tmp_path):
+    plans = tmp_path / "plans"
+    plans.mkdir()
+    (plans / "plan.csv").write_text(
+        "functionality,step,invocation_index,action,value\n"
+        "addParticipant,addParticipantStep,1,FAIL,SimulatedInfraFault\n")
+    fired = tmp_path / "fired.jsonl"
+    report = run_bench(small(impairments_dir=str(plans), extra_sim_config={
+        "tcc_commit_store_ms": 0.0, "impairment_report_path": str(fired)}))
+    assert report["runs"][0]["success_rate"] == 100.0  # the step is retried
+    assert len(fired.read_text().splitlines()) == 1
+    assert report["config"]["impairments_dir"] == str(plans)
+
+
 def test_failed_run_restores_switch_interval(tmp_path):
     (tmp_path / "plan.csv").write_text("not the header\n")
     before = sys.getswitchinterval()

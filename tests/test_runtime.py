@@ -84,6 +84,18 @@ def test_config_rejects_invalid_values(overrides):
         SimConfig(**overrides)
 
 
+@pytest.mark.parametrize("transport", ["local", "local-serialized", "rpc", "broker"])
+@pytest.mark.parametrize("latency", [
+    {"rpc_one_way_ms": -1},
+    {"broker_delivery_ms": -3},
+    {"broker_poll_ms": 0},
+])
+def test_config_rejects_a_bad_latency_whatever_the_transport(transport, latency):
+    # A latency its transport does not use is refused all the same.
+    with pytest.raises(InvalidConfig, match=next(iter(latency))):
+        SimConfig(transport_mode=transport, **latency)
+
+
 def run_workload(sim):
     execution_id, tournament_id, _, user_ids = seed_basic(sim, students=3)
     sim.app.add_participant(tournament_id, execution_id, user_ids[0])

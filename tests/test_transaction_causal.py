@@ -244,8 +244,8 @@ def test_post_merge_invariant_failure_converts_to_abort(causal_sim):
 
 @pytest.mark.parametrize("versioning", ["centralized", "centralized-remote"])
 def test_unresolvable_merge_aborts(make_sim, versioning):
-    # The failed commit hands its reserved version back to the counter, over
-    # the transport when the counter is remote.
+    # The merge fails before a version is reserved, so the counter does not
+    # move, whether it is local or behind the transport.
     sim = make_sim(transaction_model="tcc", tcc_commit_store_ms=0.0,
                    versioning_strategy=versioning)
     execution_id, tournament_id, _, user_ids = seed_basic(sim)
