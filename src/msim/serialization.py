@@ -1,15 +1,27 @@
 """Canonical wire serialization.
 
-Self-describing, field-name-tagged byte format (UTF-8 JSON with sorted keys).
-Only plain data crosses the wire: None, bool, int, float, str, list, and
-dicts with string keys. Anything else fails fast with SerializationError at
-dispatch time, so payload problems surface during local development instead
-of on a remote deployment.
+Self-describing, field-name-tagged byte format (UTF-8 JSON with sorted keys,
+ASCII escapes and no spaces). Only plain data crosses the wire: None, bool,
+int, finite float, str, list, and dicts with string keys, without cycles.
+Anything else fails fast with SerializationError at dispatch time, so
+payload problems surface during local development instead of on a remote
+deployment.
+
+An accepted message runs only C code. The encoder refuses unknown types,
+NaN and infinities, and overflows the recursion limit on a cycle. It turns
+tuples into lists and int, float, bool and None keys into strings without
+complaint, so the text is decoded again and compared with the value: the
+copy differs exactly when one of those was there (for types that keep the
+built-in equality; subclasses of the plain types pass as their plain
+values). Only after the encoder raised or the comparison failed does the
+Python walk ``_check`` run, to name the path of the rejection. If it names
+nothing the message is accepted (or the encoder's own error stands).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .errors import SerializationError
@@ -17,58 +29,74 @@ from .errors import SerializationError
 _SCALARS = (type(None), bool, int, float, str)
 
 
-class _Rejected(Exception):
-    """Unwinds a failed check; each enclosing level adds its path step."""
-
-    def __init__(self, head: str, tail: str = ""):
-        super().__init__(head)
-        self.head = head
-        self.tail = tail
-        self.steps: list[str] = []  # innermost first
+def _refuse(value: Any) -> None:
+    raise TypeError(f"no serialization rule for {type(value).__name__}")
 
 
-def _check(value: Any) -> None:
-    # Scalar items are accepted without a call, and the path is built only
-    # on the way out of a rejection: accepted values, the common case, pay
-    # for no string formatting.
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            if not isinstance(item, _SCALARS):
-                try:
-                    _check(item)
-                except _Rejected as exc:
-                    exc.steps.append(f"[{i}]")
-                    raise
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise _Rejected("non-string dict key at ", f": {key!r}")
-            if not isinstance(item, _SCALARS):
-                try:
-                    _check(item)
-                except _Rejected as exc:
-                    exc.steps.append(f".{key}")
-                    raise
+# Built once: JSONEncoder.encode builds a new C encoder on every call, about
+# 0.8 us of the 4 to 13 us a message takes to encode.
+if json.encoder.c_make_encoder is not None:
+    _c_encode = json.encoder.c_make_encoder(
+        None, _refuse, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, False,
+    )
+
+    def _to_text(value: Any) -> str:
+        return "".join(_c_encode(value, 0))
+else:
+    _to_text = json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False,
+        default=_refuse,
+    ).encode
+
+_decoder = json.JSONDecoder()
+
+
+def _check(value: Any, path: str = "$", open_ids: frozenset = frozenset()) -> None:
+    """Raise SerializationError naming the first part of ``value`` the wire refuses.
+
+    ``open_ids`` holds the containers on the current path, so a cycle is
+    named where it closes and a shared but acyclic value passes.
+    """
+    if isinstance(value, (list, dict)):
+        if id(value) in open_ids:
+            raise SerializationError(f"reference cycle at {path}")
+        open_ids |= {id(value)}
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                _check(item, f"{path}[{i}]", open_ids)
+        else:
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise SerializationError(f"non-string dict key at {path}: {key!r}")
+                _check(item, f"{path}.{key}", open_ids)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise SerializationError(f"non-finite float at {path}: {value!r}")
     elif not isinstance(value, _SCALARS):
-        raise _Rejected(f"no serialization rule for {type(value).__name__} at ")
+        raise SerializationError(f"no serialization rule for {type(value).__name__} at {path}")
 
 
-def encode(value: Any) -> bytes:
+def encode(value: Any, *, compare: bool = True) -> bytes:
+    """Encode ``value``; ``compare=False`` leaves the coercion check to the caller."""
     try:
+        text = _to_text(value)
+    except Exception:
         _check(value)
-    except _Rejected as exc:
-        path = "$" + "".join(reversed(exc.steps))
-        raise SerializationError(f"{exc.head}{path}{exc.tail}") from None
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        raise
+    if compare and _decoder.decode(text) != value:
+        _check(value)
+    return text.encode()
 
 
 def decode(data: bytes) -> Any:
     try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        return _decoder.decode(data.decode())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise SerializationError(str(exc)) from exc
 
 
 def roundtrip(value: Any) -> Any:
     """Force a value through the canonical encoding, as a network would."""
-    return decode(encode(value))
+    decoded = decode(encode(value, compare=False))
+    if decoded != value:
+        _check(value)
+    return decoded
