@@ -7,15 +7,18 @@ Anything else fails fast with SerializationError at dispatch time, so
 payload problems surface during local development instead of on a remote
 deployment.
 
-An accepted message runs only C code. The encoder refuses unknown types,
-NaN and infinities, and overflows the recursion limit on a cycle. It turns
-tuples into lists and int, float, bool and None keys into strings without
-complaint, so the text is decoded again and compared with the value: the
-copy differs exactly when one of those was there (for types that keep the
-built-in equality; subclasses of the plain types pass as their plain
+An accepted message runs only C code: one JSONEncoder built at import
+encodes it and one JSONDecoder decodes it. The encoder refuses unknown
+types, NaN and infinities, and overflows the recursion limit on a cycle. It
+turns tuples into lists and int, float, bool and None keys into strings
+without complaint, so the text is decoded again and compared with the value:
+the copy differs exactly when one of those was there (for types that keep
+the built-in equality; subclasses of the plain types pass as their plain
 values). Only after the encoder raised or the comparison failed does the
 Python walk ``_check`` run, to name the path of the rejection. If it names
-nothing the message is accepted (or the encoder's own error stands).
+nothing the message is accepted, or the encoder's own error stands. A value
+nested deeper than the codec or the walk can recurse is refused as too deep;
+where that depth lies depends on the interpreter version.
 """
 
 from __future__ import annotations
@@ -27,27 +30,17 @@ from typing import Any
 from .errors import SerializationError
 
 _SCALARS = (type(None), bool, int, float, str)
+_TOO_DEEP = "value nested deeper than the recursion limit"
 
 
 def _refuse(value: Any) -> None:
     raise TypeError(f"no serialization rule for {type(value).__name__}")
 
 
-# Built once: JSONEncoder.encode builds a new C encoder on every call, about
-# 0.8 us of the 4 to 13 us a message takes to encode.
-if json.encoder.c_make_encoder is not None:
-    _c_encode = json.encoder.c_make_encoder(
-        None, _refuse, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, False,
-    )
-
-    def _to_text(value: Any) -> str:
-        return "".join(_c_encode(value, 0))
-else:
-    _to_text = json.JSONEncoder(
-        sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False,
-        default=_refuse,
-    ).encode
-
+_to_text = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False,
+    default=_refuse,
+).encode
 _decoder = json.JSONDecoder()
 
 
@@ -75,22 +68,37 @@ def _check(value: Any, path: str = "$", open_ids: frozenset = frozenset()) -> No
         raise SerializationError(f"no serialization rule for {type(value).__name__} at {path}")
 
 
+def _name_refusal(value: Any) -> None:
+    """Raise the SerializationError ``_check`` names for ``value``, if it names one."""
+    try:
+        _check(value)
+    except RecursionError:
+        raise SerializationError(_TOO_DEEP) from None
+
+
 def encode(value: Any, *, compare: bool = True) -> bytes:
-    """Encode ``value``; ``compare=False`` leaves the coercion check to the caller."""
+    """Encode ``value``; ``compare=False`` leaves the coercion check to the caller.
+
+    ``roundtrip`` passes ``compare=False`` and compares its own decoded copy,
+    which saves a second decode of every message.
+    """
     try:
         text = _to_text(value)
+    except RecursionError:
+        _name_refusal(value)
+        raise SerializationError(_TOO_DEEP) from None
     except Exception:
-        _check(value)
+        _name_refusal(value)
         raise
     if compare and _decoder.decode(text) != value:
-        _check(value)
+        _name_refusal(value)
     return text.encode()
 
 
 def decode(data: bytes) -> Any:
     try:
         return _decoder.decode(data.decode())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, depth
         raise SerializationError(str(exc)) from exc
 
 
@@ -98,5 +106,5 @@ def roundtrip(value: Any) -> Any:
     """Force a value through the canonical encoding, as a network would."""
     decoded = decode(encode(value, compare=False))
     if decoded != value:
-        _check(value)
+        _name_refusal(value)
     return decoded
